@@ -604,8 +604,8 @@ def _artifacts_main(argv: list[str]) -> int:
     parser.add_argument(
         "--heatmap-region", type=int, default=None, metavar="BYTES",
         help="heatmap region granularity in bytes for timeline/adapt "
-             "sampling (power of two; default 65536; requires "
-             "--timeline or the adapt artifact)",
+             "sampling (power of two in [1024, 2**30]; default 65536; "
+             "requires --timeline or the adapt artifact)",
     )
     parser.add_argument(
         "--mechanism", default=None, metavar="NAME",
@@ -692,15 +692,14 @@ def _artifacts_main(argv: list[str]) -> int:
             parser.error(
                 "--adapt-policy only makes sense with the adapt artifact"
             )
-    from repro.adapt.config import DEFAULT_HEATMAP_REGION
+    from repro.adapt.config import DEFAULT_HEATMAP_REGION, heatmap_region_error
 
     heatmap_region = DEFAULT_HEATMAP_REGION
     if args.heatmap_region is not None:
         value = args.heatmap_region
-        if value < 1 or value & (value - 1):
-            parser.error(
-                f"--heatmap-region must be a power of two, got {value}"
-            )
+        error = heatmap_region_error(value)
+        if error is not None:
+            parser.error(f"--heatmap-region {error}")
         if not args.timeline and "adapt" not in artifacts:
             parser.error(
                 "--heatmap-region only makes sense with --timeline or "

@@ -17,6 +17,32 @@ POLICIES = ("threshold", "hysteresis", "epsilon_greedy")
 #: ``MachineConfig.heatmap_region_bytes``.
 DEFAULT_HEATMAP_REGION = 64 * 1024
 
+#: Bounds on a requested heatmap region.  Below 1 KB the heatmap of a
+#: default-sized machine runs to tens of thousands of regions per
+#: payload; above 1 GB every address falls in one region.
+MIN_HEATMAP_REGION = 1 << 10
+MAX_HEATMAP_REGION = 1 << 30
+
+
+def heatmap_region_error(value) -> str | None:
+    """Why ``value`` is not an acceptable heatmap region, or ``None``.
+
+    The one rule both front ends (the CLI's ``--heatmap-region`` and
+    the serve protocol's ``heatmap_region``) apply, so an input one
+    accepts the other accepts too.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or not MIN_HEATMAP_REGION <= value <= MAX_HEATMAP_REGION
+        or value & (value - 1)
+    ):
+        return (
+            f"must be a power of two in [{MIN_HEATMAP_REGION}, 2**30] "
+            f"bytes, got {value!r}"
+        )
+    return None
+
 #: Bounds for the serve-tier knob validation (shared so the CLI and the
 #: HTTP protocol reject the same ranges).
 MIN_INTERVAL = 64

@@ -119,6 +119,7 @@ class Application(ABC):
         config: MachineConfig | None = None,
         observer: "MachineObserver | None" = None,
         on_window=None,
+        machine_class: type[Machine] = Machine,
     ) -> AppResult:
         """Execute the application on a fresh machine; returns the result.
 
@@ -128,6 +129,9 @@ class Application(ABC):
         (if given, and if ``config`` samples a timeline) streams the
         sampler's per-window deltas live; it is ignored for untimed
         configs, so the default hot path is untouched.
+        ``machine_class`` picks the machine: trace capture passes
+        :class:`~repro.core.machine.FunctionalMachine`, whose result
+        carries only the config-invariant stats.
         """
         supported = self.variants()
         if variant not in supported:
@@ -135,7 +139,7 @@ class Application(ABC):
                 f"{self.name} does not support variant {variant.value}; "
                 f"supported: {[v.value for v in supported]}"
             )
-        machine = Machine(config or MachineConfig())
+        machine = machine_class(config or MachineConfig())
         machine.observer = observer
         if on_window is not None and machine.timeline is not None:
             # Chain (never clobber): the adaptive engine may already be

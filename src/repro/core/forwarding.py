@@ -136,7 +136,8 @@ class ForwardingEngine:
         fbits = memory._fbits
         words = memory._words
         index = word_address >> 3
-        if index < 0 or index >= memory.word_count:
+        nwords = memory._nwords
+        if index < 0 or index >= nwords:
             # Delegate bounds error reporting to the raw layer.
             memory.read_fbit(word_address)
         if not fbits[index]:
@@ -153,7 +154,7 @@ class ForwardingEngine:
                 on_hop(index << 3)
             word_address = words[index]
             index = word_address >> 3
-            if index < 0 or index >= memory.word_count:
+            if index < 0 or index >= nwords:
                 memory.read_fbit(word_address)
             hops += 1
             counter += 1

@@ -73,6 +73,12 @@ class MachineObserver(Protocol):
     trigger nested machine activity (a forwarded load entering a user
     trap handler, say) are emitted *before* the operation executes, so
     nested events appear after their cause in the stream.
+
+    No event carries a cycle count or a cache outcome, so the stream
+    does not depend on the timing model: :class:`FunctionalMachine`,
+    which has none, emits exactly the events a :class:`Machine` with the
+    same config emits, in the same order, and is what trace capture
+    runs on.
     """
 
     def on_load(self, address: int, size: int) -> None: ...
@@ -205,39 +211,25 @@ class Machine:
     )
 
     def __init__(self, config: MachineConfig | None = None) -> None:
-        self.config = config or MachineConfig()
+        self._init_state(config)
         cfg = self.config
-        self.memory = TaggedMemory(cfg.memory_size)
-        self.forwarding = ForwardingEngine(self.memory, cfg.hop_limit)
         self.hierarchy = MemoryHierarchy(cfg.hierarchy)
         self.timing = TimingModel(cfg.timing)
-        self.heap = HeapAllocator(self.memory, cfg.heap_base, cfg.heap_size)
         self.prefetcher = SoftwarePrefetcher(self.hierarchy, cfg.max_prefetch_block)
         self.speculator = (
             DependenceSpeculator(cfg.speculation_window)
             if cfg.speculation_window > 0
             else None
         )
-        self.pools: list[RelocationPool] = []
-        self._pool_region_base = cfg.heap_base + cfg.heap_size
-        self._pool_bump = self._pool_region_base
-        self._pool_limit = self._pool_bump + cfg.pool_region_size
-        self.trap_handler: TrapHandler | None = None
-        #: Optional instrumentation hook (see :class:`MachineObserver`).
-        self.observer: MachineObserver | None = None
         # Per-reference latency accounting (Figure 10(c,d)).
         self.load_latency = ReferenceLatencyStats()
         self.store_latency = ReferenceLatencyStats()
-        self.relocation_stats = RelocationStats()
         # Scratch accumulator filled by the per-hop callback.
         self._hop_cycles = 0.0
         self._fast_enabled = cfg.fast_path
         # Fused per-reference cost kernel (see repro.core.hotpath): all
         # components it closes over are allocated exactly once above and
         # only mutated in place for the machine's lifetime.
-        # Lazily built repro.obs registry (see the ``metrics`` property);
-        # never touched by the reference hot paths.
-        self._registry = None
         self._kernel_load, self._kernel_store = make_reference_kernel(
             self.hierarchy,
             self.timing,
@@ -251,7 +243,6 @@ class Machine:
         # neither adds a single instruction to the reference hot path
         # when disabled (no wrapper closures, no per-call flag tests
         # beyond those the ops already perform).
-        self.events = None
         if cfg.events_capacity > 0:
             from repro.obs.events import EventLog
 
@@ -263,8 +254,6 @@ class Machine:
             # cache.l2_victim events come from; force the (bit-identical)
             # general path so no event is lost.
             self._fast_enabled = False
-        self.timeline = None
-        self.adapt = None
         # The adaptive engine feeds off timeline windows: configuring it
         # implies a timeline (at ``adapt.interval`` when no explicit
         # ``timeline_interval`` is set).
@@ -293,6 +282,32 @@ class Machine:
             # stay on the (bit-identical) general path so every
             # forwarding corner case runs the reference implementation.
             self._fast_enabled = False
+
+    def _init_state(self, config: MachineConfig | None) -> None:
+        """Build the config-invariant state: memory, forwarding, heap, pools.
+
+        Shared with :class:`FunctionalMachine`, which has this state and
+        nothing else.
+        """
+        self.config = config or MachineConfig()
+        cfg = self.config
+        self.memory = TaggedMemory(cfg.memory_size)
+        self.forwarding = ForwardingEngine(self.memory, cfg.hop_limit)
+        self.heap = HeapAllocator(self.memory, cfg.heap_base, cfg.heap_size)
+        self.pools: list[RelocationPool] = []
+        self._pool_region_base = cfg.heap_base + cfg.heap_size
+        self._pool_bump = self._pool_region_base
+        self._pool_limit = self._pool_bump + cfg.pool_region_size
+        self.trap_handler: TrapHandler | None = None
+        #: Optional instrumentation hook (see :class:`MachineObserver`).
+        self.observer: MachineObserver | None = None
+        self.relocation_stats = RelocationStats()
+        # Lazily built repro.obs registry (see the ``metrics`` property);
+        # never touched by the reference hot paths.
+        self._registry = None
+        self.events = None
+        self.timeline = None
+        self.adapt = None
 
     def _wrap_references_with_timeline(self) -> None:
         """Interpose the timeline sampler on ``load``/``store``.
@@ -513,6 +528,10 @@ class Machine:
         if self.events is not None:
             self.events.emit("mem.free", address=address, chain=len(chain))
         self.timing.execute(self.config.free_base_cost + 2 * len(chain))
+        self._release_chain(address, chain)
+
+    def _release_chain(self, address: int, chain: list[int]) -> None:
+        """Release every heap block on ``chain`` (the body of :meth:`free`)."""
         freed_any = False
         in_pool = False
         for word_address in chain:
@@ -610,15 +629,23 @@ class Machine:
             stores=replace(self.store_latency),
             speculator=self.speculator,
             prefetcher=self.prefetcher,
-            forwarding_hops=self.forwarding.stats.total_hops,
-            cycle_checks=self.forwarding.stats.cycle_check_invocations,
-            forwarding_chain_hist=self.forwarding.stats.hop_histogram,
-            relocation=replace(
+            **self._invariant_stats(),
+        )
+
+    def _invariant_stats(self) -> dict:
+        """The config-invariant counters, as :meth:`MachineStats.collect`
+        keyword arguments: properties of the program, not of its timing."""
+        forwarding = self.forwarding.stats
+        return {
+            "forwarding_hops": forwarding.total_hops,
+            "cycle_checks": forwarding.cycle_check_invocations,
+            "forwarding_chain_hist": forwarding.hop_histogram,
+            "relocation": replace(
                 self.relocation_stats,
                 pool_bytes=sum(pool.used_bytes for pool in self.pools),
             ),
-            heap_high_water=self.heap.stats.high_water,
-        )
+            "heap_high_water": self.heap.stats.high_water,
+        }
 
     @property
     def metrics(self):
@@ -665,3 +692,115 @@ class Machine:
             )
             self._registry = registry
         return registry
+
+
+class FunctionalMachine(Machine):
+    """The machine's semantics without its costs: what a program *does*.
+
+    Memory forwarding decides where data lives and what a load returns;
+    the caches, timing model, speculator and prefetcher only price that.
+    So a program's event stream, final addresses and loaded values are
+    the same on every cache configuration -- relocation is a
+    behaviour-preserving transformation -- and this machine computes
+    exactly that half: tagged memory, forwarding chains (cycle checks
+    included), trap handlers, heap and pools, relocation bookkeeping.
+    It builds no hierarchy, timing model, speculator, prefetcher or
+    reference kernels, and keeps no timeline, events or adaptive engine.
+
+    Trace capture runs on it (see :func:`repro.trace.recorder.
+    capture_trace`): an observer sees the same events in the same order
+    as on a :class:`Machine`, and :meth:`stats` reports only the
+    config-invariant counters, which is all a trace keeps.  The timed
+    counters come from replaying the trace.  Nothing here reads the
+    clock, so configs whose behaviour feeds back from timing (the
+    adaptive engine) or whose output is per-event (the event log) must
+    run on :class:`Machine`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, config: MachineConfig | None = None) -> None:
+        self._init_state(config)
+        self.load, self.store = self._make_ops()
+
+    def _make_ops(self):
+        machine = self
+        words = self.memory._words
+        read_data = self.memory.read_data
+        write_data = self.memory.write_data
+        resolve = self.forwarding.resolve
+
+        def load(address: int, size: int = WORD_SIZE) -> int:
+            """Forwarding-aware load of ``size`` bytes; returns the value."""
+            observer = machine.observer
+            if observer is not None:
+                observer.on_load(address, size)
+            final, hops = resolve(address)
+            if hops:
+                machine._fire_trap(address, final, hops, is_write=False)
+            # resolve() bounds-checked the final word.
+            if size == WORD_SIZE and not final & 7:
+                return words[final >> 3]
+            return read_data(final, size)
+
+        def store(address: int, value: int, size: int = WORD_SIZE) -> None:
+            """Forwarding-aware store of ``size`` bytes."""
+            observer = machine.observer
+            if observer is not None:
+                observer.on_store(address, value, size)
+            final, hops = resolve(address)
+            if hops:
+                machine._fire_trap(address, final, hops, is_write=True)
+            if size == WORD_SIZE and not final & 7:
+                words[final >> 3] = value & WORD_MASK
+            else:
+                write_data(final, value, size)
+
+        return load, store
+
+    def _fire_trap(self, initial: int, final: int, hops: int, is_write: bool) -> None:
+        handler = self.trap_handler
+        if handler is not None:
+            handler(self, ForwardingEvent(initial, final, hops, is_write))
+
+    def read_fbit(self, address: int) -> int:
+        if self.observer is not None:
+            self.observer.on_read_fbit(address)
+        return self.memory.read_fbit(address & ~7)
+
+    def unforwarded_read(self, address: int) -> int:
+        if self.observer is not None:
+            self.observer.on_unforwarded_read(address)
+        return self.memory.read_word(address & ~7)
+
+    def unforwarded_write(self, address: int, value: int, fbit: int) -> None:
+        if self.observer is not None:
+            self.observer.on_unforwarded_write(address, value, fbit)
+        self.memory.write_word_tagged(address & ~7, value, fbit)
+
+    def prefetch(self, address: int, lines: int = 1) -> None:
+        if self.observer is not None:
+            self.observer.on_prefetch(address, lines)
+
+    def execute(self, instructions: int) -> None:
+        if self.observer is not None:
+            self.observer.on_execute(instructions)
+
+    def malloc(self, nbytes: int, align: int = WORD_SIZE) -> int:
+        address = self.heap.allocate(nbytes, align)
+        if self.observer is not None:
+            self.observer.on_malloc(nbytes, align, address)
+        return address
+
+    def free(self, address: int) -> None:
+        if self.observer is not None:
+            self.observer.on_free(address)
+        self._release_chain(address, self.forwarding.chain(address))
+
+    def stats(self) -> MachineStats:
+        """The config-invariant counters; every timed counter is zero."""
+        invariant = self._invariant_stats()
+        invariant["forwarding_chain_hist"] = dict(
+            invariant["forwarding_chain_hist"]
+        )
+        return MachineStats(**invariant)

@@ -83,6 +83,19 @@ class RelocationStats:
     pool_bytes: int = 0
 
 
+#: The :meth:`MachineStats.dump` keys that are properties of a program's
+#: event stream rather than of the cache and timing it ran on.  A trace
+#: keeps exactly these (``Trace.captured_stats``); replay recomputes the
+#: rest.
+INVARIANT_FIELDS = (
+    "forwarding_hops",
+    "cycle_checks",
+    "forwarding_chain_hist",
+    "relocation",
+    "heap_high_water",
+)
+
+
 @dataclass
 class MachineStats:
     """Full snapshot of one simulation run."""

@@ -29,6 +29,7 @@ from repro.adapt.config import (
     MIN_INTERVAL,
     POLICIES,
     AdaptConfig,
+    heatmap_region_error,
 )
 from repro.apps import APPLICATIONS
 from repro.apps.base import Variant
@@ -267,18 +268,9 @@ class JobSpec:
 
         heatmap_region = payload.get("heatmap_region", DEFAULT_HEATMAP_REGION)
         if heatmap_region != DEFAULT_HEATMAP_REGION:
-            if (
-                isinstance(heatmap_region, bool)
-                or not isinstance(heatmap_region, int)
-                or heatmap_region < 1024
-                or heatmap_region > (1 << 30)
-                or heatmap_region & (heatmap_region - 1)
-            ):
-                _fail(
-                    "heatmap_region",
-                    "must be a power-of-two int in [1024, 2**30], "
-                    f"got {heatmap_region!r}",
-                )
+            error = heatmap_region_error(heatmap_region)
+            if error is not None:
+                _fail("heatmap_region", error)
             if payload.get("timeline_interval", 0) == 0 and adapt_policy is None:
                 _fail(
                     "heatmap_region",

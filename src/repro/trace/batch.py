@@ -14,10 +14,9 @@ layer:
 * :func:`group_by_trace` partitions sweep tasks into per-trace-key
   groups (insertion-ordered, so progress output stays deterministic);
 * :func:`run_batch_group` executes one group end to end -- capture the
-  stream if it is missing (the capturing cell's direct result answers
-  that cell), answer cached cells from the store, then build one replay
-  session per remaining config and drive them all through one streaming
-  decode;
+  stream if it is missing, answer cached cells from the store, then
+  build one replay session per remaining config (the capturing cell's
+  included) and drive them all through one streaming decode;
 * :func:`replay_engine` / :func:`_session_for` pick the per-config
   engine: the exec-specialized kernel session
   (:class:`~repro.trace.kernels.SpecializedSession`) when the config is
@@ -54,8 +53,9 @@ import contextlib
 import os
 import time as _time
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.apps.base import AppResult
+from repro.apps.base import AppResult, Variant
 from repro.core.machine import MachineConfig
 from repro.trace.format import Trace
 from repro.trace.kernels import (
@@ -112,17 +112,23 @@ class BatchOutcome:
     error: BatchCellError | None = None
 
 
-def replay_engine(trace: Trace, config: MachineConfig) -> tuple[AppResult, str]:
+def replay_engine(
+    trace: Trace, config: MachineConfig, *, tracer=None, on_window=None
+) -> tuple[AppResult, str]:
     """Replay through the best engine for ``config``.
 
     Returns ``(result, engine)`` where ``engine`` is
     :data:`BATCH_SPECIALIZED` when the config fits the specializer's
     feature matrix and :data:`BATCH_GENERAL` otherwise.  Results are
     bit-identical either way (enforced by the parity suites).
+    ``tracer`` and ``on_window`` reach the general path only (see
+    :func:`repro.trace.replay.replay_trace`); a specializable config
+    samples no timeline.
     """
     if specializable(config):
         return replay_specialized(trace, config), BATCH_SPECIALIZED
-    return replay_trace(trace, config), BATCH_GENERAL
+    result = replay_trace(trace, config, tracer=tracer, on_window=on_window)
+    return result, BATCH_GENERAL
 
 
 def _session_for(trace: Trace, config: MachineConfig, on_window=None):
@@ -164,7 +170,10 @@ def run_batch_group(
       cannot reproduce the discrete event stream -- via the sequential
       single-cell executor;
     * if the group's trace is missing everywhere, the first such cell
-      captures it (its direct result answers that cell);
+      captures it.  Capture normally runs on the timing-free machine,
+      so that cell then gets a replay session like the rest (``how``
+      stays ``"captured"``); a timed capture (adaptive configs) answers
+      its cell with its direct run;
     * cached results come straight from the store;
     * everything else gets a replay session (specialized kernel or
       general path, per config).
@@ -172,7 +181,10 @@ def run_batch_group(
     **Drive**: every session consumes the trace's resolved chunks in
     lockstep -- one chunk decoded (or sidecar-served), all sessions run
     over it, then the next -- and finally each session's ``finish()``
-    produces and persists its cell's result.
+    produces and persists its cell's result.  A freshly captured trace
+    is saved after its drive, so that drive writes no ``.resolved``
+    sidecar: a group answered in the capturing process decodes its
+    stream once and never reads the sidecar back.
 
     With ``collect_errors=False`` (batch sweeps) the first failing cell
     raises :class:`BatchCellError`; with ``collect_errors=True`` (the
@@ -188,7 +200,8 @@ def run_batch_group(
     ``None`` and add nothing to the chunk loop when absent.
     """
     # Deferred import: sweep imports this module for its batch path.
-    from repro.trace.sweep import run_task
+    # Capture goes through the sweep module's name, like run_task's.
+    from repro.trace.sweep import capture_trace, run_task
 
     keys = {task.key() for task in tasks}
     if len(keys) > 1:
@@ -224,9 +237,10 @@ def run_batch_group(
             return None
         return lambda window, _task=task: on_window(_task, window)
 
-    #: (position, task, fingerprint, session, engine, tracer) per
-    #: replay cell.
-    pending: list[tuple] = []
+    pending: list[_Cell] = []
+    #: ``(position, task, tracer)`` of the cell that captured the
+    #: stream functionally; the trace is saved after the drive.
+    capturer = None
     for position, task in enumerate(tasks):
         try:
             tracer = _tracer(task)
@@ -247,37 +261,48 @@ def run_batch_group(
                 trace = store.load_trace(key)
                 if trace is not None:
                     traces[key] = trace
-            if trace is None:
-                # First cold cell captures for the whole group; its own
-                # direct result answers this cell.
-                result, how = run_task(
-                    task, store, traces,
-                    tracer=tracer, on_window=_window_cb(task),
-                )
-                trace = traces.get(key)
-                outcomes[position] = BatchOutcome(
-                    task, result, how, SEQUENTIAL
-                )
-                continue
             fingerprint = config_fingerprint(config)
-            if store is not None:
-                if tracer is None:
-                    cached = store.load_result(trace.content_hash, fingerprint)
-                else:
-                    with tracer.span("store.result_probe"):
+            if trace is None:
+                # First cold cell captures for the whole group.
+                with _span(tracer, "trace.capture"):
+                    trace, direct = capture_trace(
+                        task.app,
+                        Variant(task.variant),
+                        config,
+                        task.scale,
+                        task.seed,
+                        on_window=_window_cb(task),
+                    )
+                traces[key] = trace
+                if direct is not None:
+                    # A timed capture's direct run answers its cell.
+                    _save_capture(store, key, trace, tracer)
+                    _save_result(store, trace, fingerprint, direct, tracer)
+                    outcomes[position] = BatchOutcome(
+                        task, direct, "captured", SEQUENTIAL
+                    )
+                    continue
+                # A functional capture has no timed result: the cell
+                # joins the group's drive like any replayed cell.
+                capturer = (position, task, tracer)
+                how = "captured"
+            else:
+                if store is not None:
+                    with _span(tracer, "store.result_probe"):
                         cached = store.load_result(
                             trace.content_hash, fingerprint
                         )
-                if cached is not None:
-                    outcomes[position] = BatchOutcome(
-                        task, cached, "cached", SEQUENTIAL
-                    )
-                    continue
+                    if cached is not None:
+                        outcomes[position] = BatchOutcome(
+                            task, cached, "cached", SEQUENTIAL
+                        )
+                        continue
+                how = "replayed"
             session, engine = _session_for(
                 trace, config, on_window=_window_cb(task)
             )
             pending.append(
-                (position, task, fingerprint, session, engine, tracer)
+                _Cell(position, task, fingerprint, session, engine, tracer, how)
             )
         except Exception as exc:
             fail(position, task, exc)
@@ -290,7 +315,46 @@ def run_batch_group(
         _drive_pending(trace, pending, outcomes, store, fail)
         if os.environ.get("REPRO_BATCH_MATERIALIZE"):
             trace._bench_materialized = None
+    if capturer is not None:
+        # Saved only now because saving attaches the sidecar path: the
+        # drive that answered the capturing cell decoded the stream
+        # without writing a sidecar.  Later loads, and later replays of
+        # this object, write it as usual.
+        position, task, tracer = capturer
+        try:
+            _save_capture(store, key, trace, tracer)
+        except Exception as exc:
+            fail(position, task, exc)
     return [outcomes[position] for position in sorted(outcomes)]
+
+
+class _Cell(NamedTuple):
+    """One replay cell riding a group's drive."""
+
+    position: int
+    task: object
+    fingerprint: str
+    session: object
+    engine: str
+    tracer: object
+    #: ``"captured"`` for the cell whose run captured the stream.
+    how: str
+
+
+def _span(tracer, name: str):
+    return tracer.span(name) if tracer is not None else contextlib.nullcontext()
+
+
+def _save_capture(store, key: str, trace: Trace, tracer) -> None:
+    if store is not None:
+        with _span(tracer, "store.trace_write"):
+            store.save_trace(key, trace)
+
+
+def _save_result(store, trace: Trace, fingerprint: str, result, tracer) -> None:
+    if store is not None:
+        with _span(tracer, "store.result_write"):
+            store.save_result(trace.content_hash, fingerprint, result)
 
 
 def _drive_pending(trace, pending, outcomes, store, fail) -> None:
@@ -302,7 +366,7 @@ def _drive_pending(trace, pending, outcomes, store, fail) -> None:
     open_spans: dict[int, tuple] = {}
     chunk_tallies: dict[int, list] = {}
     for entry in live:
-        position, tracer = entry[0], entry[5]
+        position, tracer = entry.position, entry.tracer
         if tracer is not None:
             open_spans[position] = (tracer, tracer.begin("replay.run"))
             chunk_tallies[position] = [0, 0, 0.0]  # chunks, entries, secs
@@ -312,7 +376,9 @@ def _drive_pending(trace, pending, outcomes, store, fail) -> None:
         for index, chunk in enumerate(chunks):
             kept = []
             for entry in live:
-                position, task, _fingerprint, session, _engine, tracer = entry
+                position, session, tracer = (
+                    entry.position, entry.session, entry.tracer
+                )
                 try:
                     if tracer is None:
                         session.run_chunk(chunk)
@@ -331,7 +397,7 @@ def _drive_pending(trace, pending, outcomes, store, fail) -> None:
                                 metrics={"entries": chunk.n},
                             )
                 except Exception as exc:
-                    fail(position, task, exc)
+                    fail(position, entry.task, exc)
                 else:
                     kept.append(entry)
             live = kept
@@ -353,7 +419,7 @@ def _drive_pending(trace, pending, outcomes, store, fail) -> None:
                     with contextlib.suppress(OSError):
                         path.unlink()
                 for entry in live:
-                    entry[3].reset()
+                    entry.session.reset()
                 feed(_decode_chunks(trace, path))
         except BatchCellError:
             raise
@@ -361,8 +427,8 @@ def _drive_pending(trace, pending, outcomes, store, fail) -> None:
             # The shared decode itself failed; every session still
             # riding it loses its stream mid-flight and cannot produce
             # a result.
-            for position, task, _fingerprint, _session, _engine, _t in live:
-                fail(position, task, exc)
+            for entry in live:
+                fail(entry.position, entry.task, exc)
             decode_failed = True
     finally:
         # Close every traced cell's drive span -- also on the raising
@@ -379,18 +445,13 @@ def _drive_pending(trace, pending, outcomes, store, fail) -> None:
     if decode_failed:
         return
 
-    for position, task, fingerprint, session, engine, tracer in live:
+    for entry in live:
         try:
-            result = session.finish()
-            if store is not None:
-                if tracer is None:
-                    store.save_result(trace.content_hash, fingerprint, result)
-                else:
-                    with tracer.span("store.result_write"):
-                        store.save_result(
-                            trace.content_hash, fingerprint, result
-                        )
+            result = entry.session.finish()
+            _save_result(store, trace, entry.fingerprint, result, entry.tracer)
         except Exception as exc:
-            fail(position, task, exc)
+            fail(entry.position, entry.task, exc)
         else:
-            outcomes[position] = BatchOutcome(task, result, "replayed", engine)
+            outcomes[entry.position] = BatchOutcome(
+                entry.task, result, entry.how, entry.engine
+            )

@@ -349,11 +349,15 @@ class Trace:
     #: Semantic output of the captured run (variant-invariant).
     checksum: int
     extras: dict[str, Any] = field(default_factory=dict)
-    #: Full :meth:`~repro.core.stats.MachineStats.dump` of the capturing
-    #: run.  Replay recomputes every config-dependent counter but copies
-    #: the config-*invariant* ones (relocation activity, forwarding hop
-    #: totals, heap footprint) from here -- they are properties of the
-    #: event stream, not of the cache the stream is replayed against.
+    #: The config-*invariant* counters of the capturing run, keyed as in
+    #: :meth:`~repro.core.stats.MachineStats.dump` (the
+    #: :data:`~repro.core.stats.INVARIANT_FIELDS`: forwarding hop totals,
+    #: cycle checks, the chain-length histogram, relocation activity,
+    #: heap footprint).  They are properties of the event stream, not of
+    #: the cache it runs on, so the timing-free capture computes them
+    #: exactly; replay copies them from here and recomputes every
+    #: config-dependent counter.  Traces captured before capture went
+    #: timing-free hold a full dump; replay reads only these keys.
     captured_stats: dict[str, Any] = field(default_factory=dict)
     #: Pool names, in ``create_pool`` order (events carry only indices).
     pool_names: list[str] = field(default_factory=list)

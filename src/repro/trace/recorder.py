@@ -22,10 +22,15 @@ knows ``has_forwarded`` -- which speculation mode the specialized
 kernels may use -- without anyone decoding the stream.
 
 :func:`capture_trace` is the one-call front end: run an application
-variant on a given config with a recorder attached, and get back both
-the :class:`~repro.trace.format.Trace` and the direct-run
-:class:`~repro.apps.base.AppResult` (capture *is* a direct run -- the
-result is free).
+variant with a recorder attached and get back the
+:class:`~repro.trace.format.Trace`.  The stream does not depend on the
+timing model, so capture normally runs on the timing-free
+:class:`~repro.core.machine.FunctionalMachine` and yields no timed
+result: the capturing cell is answered by replaying the fresh trace,
+like every other cell.  Only configs whose behaviour or output needs
+the clock (the adaptive engine, the event log) capture on the timed
+:class:`~repro.core.machine.Machine`, and their direct result comes
+back with the trace.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ import hashlib
 
 from repro.apps import get_application
 from repro.apps.base import AppResult, Variant
-from repro.core.machine import MachineConfig
+from repro.core.machine import FunctionalMachine, Machine, MachineConfig
+from repro.core.stats import INVARIANT_FIELDS
 from repro.trace.events import (
     CREATE_POOL,
     EXECUTE,
@@ -389,6 +395,16 @@ class TraceRecorder:
             self._seal()
 
 
+def needs_timed_capture(config: MachineConfig) -> bool:
+    """Whether capturing under ``config`` must run the timed machine.
+
+    The adaptive engine decides from timing feedback, so its references
+    (part of the stream) depend on the clock; the event log is an output
+    only a direct run produces.  Everything else captures functionally.
+    """
+    return config.adapt is not None or config.events_capacity > 0
+
+
 def capture_trace(
     app: str,
     variant: Variant,
@@ -396,19 +412,28 @@ def capture_trace(
     scale: float = 1.0,
     seed: int = 1,
     on_window=None,
-) -> tuple[Trace, AppResult]:
-    """Run ``app`` once with recording on; return ``(trace, result)``.
+) -> tuple[Trace, AppResult | None]:
+    """Run ``app`` once with recording on; return ``(trace, direct)``.
 
-    The returned result is the ordinary direct-run outcome for
-    ``config`` (recording is passive), so the capturing run doubles as
-    the first cell of any sweep.  ``on_window`` streams timeline
-    windows live when ``config`` samples them (see
-    :meth:`repro.apps.base.Application.run`).
+    ``direct`` is the timed direct-run result when ``config`` needs a
+    timed capture (:func:`needs_timed_capture`) and ``None`` otherwise:
+    the functional capture computes no timed counters, and a replay of
+    ``trace`` under ``config`` reproduces the direct run bit for bit.
+    ``on_window`` streams timeline windows live during a timed capture
+    (see :meth:`repro.apps.base.Application.run`).
     """
     application = get_application(app, scale=scale, seed=seed)
     recorder = TraceRecorder()
-    result = application.run(variant, config, observer=recorder, on_window=on_window)
+    timed = needs_timed_capture(config)
+    result = application.run(
+        variant,
+        config,
+        observer=recorder,
+        on_window=on_window,
+        machine_class=Machine if timed else FunctionalMachine,
+    )
     chunks, stream_sha = recorder.finish()
+    dump = result.stats.dump()
     trace = Trace(
         app=app,
         variant=variant.value,
@@ -418,11 +443,11 @@ def capture_trace(
         line_size_sensitive=application.stream_depends_on_line_size(variant),
         checksum=result.checksum,
         extras=dict(result.extras),
-        captured_stats=result.stats.dump(),
+        captured_stats={name: dump[name] for name in INVARIANT_FIELDS},
         pool_names=recorder.pool_names,
         event_count=recorder.event_count,
         chunks=chunks,
         has_forwarded=recorder.has_forwarded,
         _stream_sha=stream_sha,
     )
-    return trace, result
+    return trace, (result if timed else None)

@@ -222,8 +222,9 @@ class ArtifactStore:
     def save_trace(self, key: str, trace: Trace) -> Path:
         path = self.trace_path(key)
         _atomic_write(path, trace.to_bytes())
-        # The capturing process replays this object next; let it warm
-        # the sidecar for everyone else.
+        # Later replays of this object warm the sidecar for everyone
+        # else.  Capture saves only after the replay that answers the
+        # capturing cell, so that one decode writes none.
         trace._resolved_path = self.resolved_path(key)
         self._register_trace(key, trace, path)
         return path

@@ -7,8 +7,9 @@ workload identity; line-size-insensitive apps share one key across all
 their line sizes), each group's stream is captured or loaded and decoded
 exactly once, and every config in the group replays the shared resolved
 stream -- through the exec-specialized kernel when the config fits the
-specializer's matrix, the general path otherwise.  The capturing cell's
-direct result answers that cell for free, exactly as before.
+specializer's matrix, the general path otherwise.  The capturing cell
+is one of those configs: capture runs on the timing-free machine, and
+the cell's timed result comes from the same drive as its group's.
 
 With ``jobs > 1`` the process pool shards by *group*, not by cell: the
 decoded stream is the expensive thing worth keeping local to one
@@ -40,6 +41,7 @@ from repro.trace.batch import (
     SEQUENTIAL,
     BatchCellError,
     group_by_trace,
+    replay_engine,
     run_batch_group,
 )
 from repro.trace.format import Trace
@@ -173,9 +175,12 @@ def run_task(
     """Obtain one cell's result; returns ``(result, how)``.
 
     ``how`` is ``"captured"``, ``"replayed"``, or ``"cached"`` --
-    diagnostics for progress logging and the tests.  ``traces`` is an
-    optional in-process trace cache (keyed like the store) consulted
-    before, and populated after, any store access.
+    diagnostics for progress logging and the tests.  A captured cell's
+    result is its replay of the fresh trace (see
+    :func:`repro.trace.recorder.capture_trace`), except for configs
+    that capture on the timed machine, whose direct run answers.
+    ``traces`` is an optional in-process trace cache (keyed like the
+    store) consulted before, and populated after, any store access.
 
     ``tracer`` (:class:`repro.obs.tracing.Tracer`), when given, records
     spans for the cell's phases -- trace load, capture, store writes,
@@ -203,6 +208,15 @@ def run_task(
             )
         if traces is not None:
             traces[key] = trace
+        if result is None:
+            # A functional capture computes no timed counters; replay
+            # the fresh trace.  The store has not attached a sidecar
+            # path yet, so this decode writes none: a stream decoded
+            # once, right here, is not worth a sidecar.
+            with span("replay.run"):
+                result, _ = replay_engine(
+                    trace, config, tracer=tracer, on_window=on_window
+                )
         if store is not None:
             with span("store.trace_write"):
                 store.save_trace(key, trace)

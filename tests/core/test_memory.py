@@ -1,5 +1,7 @@
 """Unit tests for the tagged-memory storage layer."""
 
+import os
+
 import pytest
 
 from repro.core.errors import AlignmentError, MemoryAccessError
@@ -139,3 +141,70 @@ class TestClearRegion:
     def test_range_checked(self, mem):
         with pytest.raises(MemoryAccessError):
             mem.clear_region(mem.size - 8, 16)
+
+
+class TestLazyZeroFill:
+    """The data words are an anonymous mapping, zeroed lazily by the OS."""
+
+    @pytest.fixture
+    def big(self):
+        from repro.core.machine import MachineConfig
+
+        return TaggedMemory(MachineConfig().memory_size)
+
+    def test_fresh_memory_reads_zero_at_both_ends(self, big):
+        last = big.size - 8
+        assert big.read_word(0) == 0
+        assert big.read_word(last) == 0
+        assert big.read_fbit(last) == 0
+        assert big.read_data(last + 7, 1) == 0
+
+    def test_bounds_and_alignment_errors_are_unchanged(self, big):
+        last = big.size - 8
+        with pytest.raises(MemoryAccessError):
+            big.read_word(big.size)
+        with pytest.raises(MemoryAccessError):
+            big.write_word(-8, 1)
+        with pytest.raises(MemoryAccessError):
+            big.write_word_tagged(big.size, 1, 1)
+        with pytest.raises(MemoryAccessError):
+            big.read_data(big.size, 4)
+        with pytest.raises(AlignmentError):
+            big.read_word(last - 4)
+        with pytest.raises(AlignmentError):
+            big.write_data(last + 2, 1, 4)
+
+    def test_writes_stay_masked_to_64_bits(self, big):
+        last = big.size - 8
+        big.write_word(last, (1 << 64) | 7)
+        assert big.read_word(last) == 7
+        big.write_word(0, -1)
+        assert big.read_word(0) == (1 << 64) - 1
+        big.write_word_tagged(8, 1 << 65, 1)
+        assert big.read_word(8) == 0 and big.read_fbit(8) == 1
+        big.write_data(16, -2, 8)
+        assert big.read_word(16) == (1 << 64) - 2
+        big.write_data(last + 4, -1, 4)
+        assert big.read_word(last) == 0xFFFFFFFF00000007
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs Linux /proc"
+    )
+    def test_a_fresh_machine_leaves_its_memory_non_resident(self):
+        """Guards against a return of the eager zero fill, which made
+        every Machine resident in full (~50 MB at the default size)."""
+        from repro.core.machine import Machine
+
+        before = _vm_rss_kb()
+        machine = Machine()
+        grown_mb = (_vm_rss_kb() - before) / 1024
+        assert machine.memory.size > 48 << 20
+        assert grown_mb < 20, f"Machine() made {grown_mb:.1f} MB resident"
+
+
+def _vm_rss_kb() -> int:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError("no VmRSS line")

@@ -255,3 +255,60 @@ class TestCLIErrorPaths:
             main(["table1", "--scale", "0.1", "--heatmap-region", "4096"])
         assert excinfo.value.code == 2
         assert "--heatmap-region only makes sense" in capsys.readouterr().err
+
+
+class TestHeatmapRegionFrontEnds:
+    """The CLI and the serve protocol apply one heatmap-region rule."""
+
+    class _Accepted(Exception):
+        pass
+
+    def _cli_accepts(self, value, monkeypatch, capsys) -> bool:
+        import repro.__main__ as entry
+
+        def _stop(*args, **kwargs):
+            raise self._Accepted
+
+        # Validation is complete once the runner is built.
+        monkeypatch.setattr(entry, "ExperimentRunner", _stop)
+        try:
+            main(["table1", "--timeline", "--heatmap-region", str(value)])
+        except self._Accepted:
+            return True
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert "--heatmap-region" in capsys.readouterr().err
+            return False
+        raise AssertionError("the CLI neither ran nor refused")
+
+    @staticmethod
+    def _serve_accepts(value) -> bool:
+        from repro.serve import JobSpec, ProtocolError
+
+        try:
+            JobSpec.from_payload(
+                {
+                    "app": "health",
+                    "variant": "N",
+                    "line_size": 32,
+                    "timeline_interval": 1000,
+                    "heatmap_region": value,
+                }
+            )
+        except ProtocolError as exc:
+            assert "heatmap_region" in str(exc)
+            return False
+        return True
+
+    @pytest.mark.parametrize(
+        "value",
+        [-1024, 0, 1, 64, 512, 1000, 1024, 3000, 4096, 65536, 1 << 30,
+         (1 << 30) + 1, 1 << 31],
+    )
+    def test_cli_accepts_iff_serve_accepts(self, value, monkeypatch, capsys):
+        from repro.core.machine import MachineConfig
+
+        accepted = self._cli_accepts(value, monkeypatch, capsys)
+        assert accepted == self._serve_accepts(value)
+        if accepted:
+            assert MachineConfig(heatmap_region_bytes=value)

@@ -77,18 +77,20 @@ class TestReplayParity:
     @pytest.mark.parametrize("app_name,variant,line_size", CASES)
     def test_replay_matches_direct(self, app_name, variant, line_size, mechanism):
         config = _config(line_size, mechanism=mechanism)
-        trace, direct = capture_trace(
+        trace, _ = capture_trace(
             app_name, variant, config, SCALE, APP_SEEDS[app_name]
         )
         replayed = replay_trace(trace, config)
+        direct = _run_direct(app_name, variant, config)
         assert replayed.stats.dump() == direct.stats.dump()
         assert replayed.stats.misspath == direct.stats.misspath
 
     def test_mechanism_counters_travel_through_replay(self):
         config = _config(32, mechanism="victim_cache")
-        trace, direct = capture_trace(
+        trace, _ = capture_trace(
             "health", Variant.L, config, SCALE, APP_SEEDS["health"]
         )
+        direct = _run_direct("health", Variant.L, config)
         assert direct.stats.misspath["probes"] > 0
         replayed = replay_trace(trace, config)
         snapshot = replayed.stats.to_snapshot()

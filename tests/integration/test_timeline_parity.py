@@ -3,7 +3,7 @@
 Three guarantees pinned here:
 
 1. **Replay parity.**  A trace replay produces byte-for-byte the same
-   window series and heatmap as the direct run that captured it -- the
+   window series and heatmap as the direct run of the same cell -- the
    timeline is built solely from replay-faithful metrics, and both paths
    tick at the same points (data references, at their initial address).
 2. **Non-perturbation.**  Enabling the sampler (or the event stream,
@@ -49,10 +49,13 @@ class TestReplayParity:
     @pytest.mark.parametrize("app_name,variant,line_size", CASES)
     def test_replay_reproduces_direct_timeline(self, app_name, variant, line_size):
         config = _config(line_size, timeline_interval=INTERVAL)
-        trace, direct = capture_trace(
+        trace, _ = capture_trace(
             app_name, variant, config, SCALE, APP_SEEDS[app_name]
         )
         replayed = replay_trace(trace, config)
+        direct = _run_direct(
+            app_name, variant, line_size, timeline_interval=INTERVAL
+        )
         assert direct.timeline is not None
         assert replayed.timeline is not None
         assert direct.timeline["window_count"] > 1, "workload too small to window"
@@ -65,9 +68,8 @@ class TestReplayParity:
 
     def test_forwarding_chases_visible_in_windows(self):
         """The L variant's chain walks must actually show up somewhere."""
-        config = _config(32, timeline_interval=INTERVAL)
-        _, direct = capture_trace(
-            "eqntott", Variant.L, config, SCALE, APP_SEEDS["eqntott"]
+        direct = _run_direct(
+            "eqntott", Variant.L, 32, timeline_interval=INTERVAL
         )
         assert sum(direct.timeline["windows"]["chases"]) > 0
         heat = direct.timeline["heatmap"]["regions"]

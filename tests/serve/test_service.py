@@ -61,8 +61,8 @@ class TestLifecycle:
                 names = [span["name"] for span in spans]
                 # The request trace crosses every tier: admission root,
                 # probe, queue wait, worker round-trip, worker-side
-                # capture (a cold cell's result comes from the capture
-                # run itself; replay spans appear on warm replays).
+                # capture (followed by the replay that answers the cold
+                # cell).
                 for expected in (
                     "serve.request",
                     "serve.probe",
@@ -159,10 +159,11 @@ class TestFailure:
     ):
         import repro.trace.sweep as sweep_mod
 
-        def _explode(task, store, traces=None, **kwargs):
+        def _explode(*args, **kwargs):
             raise RuntimeError("simulated worker failure")
 
-        monkeypatch.setattr(sweep_mod, "run_task", _explode)
+        # Every capture enters through this name, batch groups included.
+        monkeypatch.setattr(sweep_mod, "capture_trace", _explode)
 
         async def scenario():
             service = _service(tmp_path)
@@ -197,11 +198,11 @@ class TestFailure:
     ):
         import repro.trace.sweep as sweep_mod
 
-        def _stall(task, store, traces=None, **kwargs):
+        def _stall(*args, **kwargs):
             time.sleep(0.8)
             raise AssertionError("unreachable in a passing test")
 
-        monkeypatch.setattr(sweep_mod, "run_task", _stall)
+        monkeypatch.setattr(sweep_mod, "capture_trace", _stall)
 
         async def scenario():
             service = _service(tmp_path, job_timeout=0.1)
@@ -292,10 +293,13 @@ class TestBatchFold:
                 for job in jobs:
                     assert await job.wait(60.0)
                     assert job.state == DONE
-                # The leader captured the stream; the folded cells
-                # replayed it through the specialized kernel.
+                # The leader captured the stream; every cell, the
+                # leader's included, replayed it through the specialized
+                # kernel.
                 assert jobs[0].how == "captured"
-                assert jobs[0].manifest["summary"]["engine"] == "sequential"
+                assert (
+                    jobs[0].manifest["summary"]["engine"] == "batch+specialized"
+                )
                 for job in jobs[1:]:
                     assert job.how == "replayed"
                     assert (

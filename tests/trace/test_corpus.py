@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.apps import get_application
 from repro.apps.base import Variant
 from repro.experiments.config import experiment_config
 from repro.trace import (
@@ -31,10 +32,11 @@ SCALE = 0.05
 
 @pytest.fixture(scope="module")
 def captured():
-    trace, result = capture_trace(
-        "mst", Variant.N, experiment_config(64), SCALE, seed=1
-    )
-    return trace, result
+    """The trace, and the direct run its replays must reproduce."""
+    config = experiment_config(64)
+    trace, _ = capture_trace("mst", Variant.N, config, SCALE, seed=1)
+    direct = get_application("mst", scale=SCALE, seed=1).run(Variant.N, config)
+    return trace, direct
 
 
 def _key(seed=1, app="mst", variant="N"):

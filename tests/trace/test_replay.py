@@ -60,8 +60,9 @@ def test_replay_same_config_is_identity(traces):
 def test_replay_prefetch_variant():
     """PERF exercises the prefetcher + speculator paths during replay."""
     config = experiment_config(CAPTURE_LINE)
-    trace, direct = capture_trace("smv", Variant.PERF, config, SCALE, seed=1)
+    trace, _ = capture_trace("smv", Variant.PERF, config, SCALE, seed=1)
     replayed = replay_trace(trace, config)
+    direct = _direct("smv", Variant.PERF, CAPTURE_LINE)
     assert replayed.stats.dump() == direct.stats.dump()
 
 
@@ -126,12 +127,55 @@ class TestResolvedSidecar:
         store.save_trace(key, trace)
         return store, key, trace
 
-    def test_first_replay_writes_the_sidecar(self, tmp_path):
-        store, key, trace = self._stored_trace(tmp_path)
+    def test_capturing_cell_writes_no_sidecar_later_loads_do(
+        self, tmp_path, monkeypatch
+    ):
+        """The replay that answers a freshly captured cell decodes the
+        stream once and writes no sidecar; the first replay of a copy
+        loaded from the store writes one, and the next load is served
+        from it without decoding the columns."""
+        from repro.trace import replay as replay_mod
+        from repro.trace.store import ArtifactStore
+        from repro.trace.sweep import SweepTask, run_task
+
+        store = ArtifactStore(tmp_path)
+        task = SweepTask("mst", "N", 32, 0.05, 1)
+        _, how = run_task(task, store)
+        key = task.key()
         sidecar = store.resolved_path(key)
+        assert how == "captured" and store.has_trace(key)
         assert not sidecar.exists()
-        replay_trace(trace, experiment_config(32))
+
+        reference = replay_trace(store.load_trace(key), experiment_config(64))
         assert sidecar.exists()
+
+        def _no_decode(*args, **kwargs):
+            raise AssertionError("decoded the columns despite a sidecar")
+
+        monkeypatch.setattr(replay_mod, "_decode_chunks", _no_decode)
+        served = replay_trace(store.load_trace(key), experiment_config(64))
+        assert served.stats.dump() == reference.stats.dump()
+
+    def test_capturing_group_writes_no_sidecar_later_replays_do(
+        self, tmp_path
+    ):
+        """Same rule for a batch group: its one drive answers every cell,
+        the capturing one included, without a sidecar; a later replay of
+        the same trace object writes it."""
+        from repro.trace.batch import run_batch_group
+        from repro.trace.store import ArtifactStore
+        from repro.trace.sweep import SweepTask
+
+        store = ArtifactStore(tmp_path)
+        tasks = [SweepTask("mst", "N", size, 0.05, 1) for size in (32, 64)]
+        traces = {}
+        outcomes = run_batch_group(tasks, store, traces)
+        key = tasks[0].key()
+        assert [o.how for o in outcomes] == ["captured", "replayed"]
+        assert store.has_trace(key)
+        assert not store.resolved_path(key).exists()
+        replay_trace(traces[key], experiment_config(128))
+        assert store.resolved_path(key).exists()
 
     def test_sidecar_load_is_exact(self, tmp_path):
         store, key, trace = self._stored_trace(tmp_path)

@@ -15,6 +15,7 @@ from repro.trace import (
     LockTimeout,
     capture_trace,
     config_fingerprint,
+    replay_trace,
     trace_key,
 )
 from repro.trace.store import STALE_AFTER_SECONDS, _atomic_write
@@ -67,9 +68,8 @@ class TestStore:
     def test_result_roundtrip(self, tmp_path):
         store = ArtifactStore(tmp_path)
         config = experiment_config(64)
-        trace, result = capture_trace(
-            "mst", Variant.N, config, 0.05, seed=1
-        )
+        trace, _ = capture_trace("mst", Variant.N, config, 0.05, seed=1)
+        result = replay_trace(trace, config)
         fingerprint = config_fingerprint(config)
         assert store.load_result(trace.content_hash, fingerprint) is None
         store.save_result(trace.content_hash, fingerprint, result)
@@ -153,9 +153,8 @@ class TestConcurrency:
         a complete JSON document (atomic replace), never a torn file."""
         store = ArtifactStore(tmp_path)
         config = experiment_config(32)
-        trace, result = capture_trace(
-            "health", Variant.N, config, 0.05, seed=1
-        )
+        trace, _ = capture_trace("health", Variant.N, config, 0.05, seed=1)
+        result = replay_trace(trace, config)
         fingerprint = config_fingerprint(config)
         stop = threading.Event()
         errors: list[Exception] = []
