@@ -7,52 +7,44 @@ metric tree.  ``python -m repro <artifact> --format json`` prints one;
 regression tooling and dashboards parse it instead of scraping the
 rendered tables.
 
-The schemas are committed next to this module (``manifest_schema.json``
-for version 1, ``manifest_schema_v2.json`` for version 2,
-``manifest_schema_v3.json`` for version 3) and every manifest is
-validated against its declared version before it leaves the process.
-Validation prefers :mod:`jsonschema` when importable and falls back to a
-pure-python structural check so the artifact pipeline works in minimal
-environments.
+The schema is committed next to this module (``manifest_schema_v3.json``)
+and every manifest is validated against it before it leaves the
+process.  There is one validator: :func:`compile_schema` turns the
+committed schema into nested closures the first time one is needed, with
+Draft 2020-12 semantics as :mod:`jsonschema` implements them (integral
+floats are integers, booleans are not numbers, ``pattern`` is
+``re.search``, ``oneOf`` means exactly one).  It supports exactly the
+keywords the schema uses and refuses to compile any other, so a schema
+edit cannot go silently unenforced.  :mod:`jsonschema` is a test oracle
+only; no product path imports it.
 
-Version 2 (the ``repro.obs.timeline`` layer) added two optional
-sections -- ``timeline`` (windowed time series and address-space heatmap
-per simulation cell) and ``events`` (the bounded structured event
-stream) -- plus an optional ``error`` field on span records.  Version 3
-(the ``repro.obs.tracing`` layer) adds optional causal identity to span
-records -- ``trace_id``/``span_id``/``parent_id`` hex ids and a
-wall-clock ``start`` stamp -- so a serve-tier manifest carries the full
-request span tree across the process-pool boundary.  Older manifests
-still validate as their own version and can be explicitly up-converted
-with :func:`upgrade_manifest`.
+Version 3 carries the optional ``timeline`` (windowed time series and
+address-space heatmap per simulation cell) and ``events`` (the bounded
+structured event stream) sections, an optional ``error`` field on span
+records, and optional causal identity on span records --
+``trace_id``/``span_id``/``parent_id`` hex ids and a wall-clock
+``start`` stamp -- so a serve-tier manifest carries the full request
+span tree across the process-pool boundary.  Any other
+``manifest_version`` is rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import platform
+import re
 from importlib import resources
-from typing import Any, Iterable, Mapping
+from numbers import Number
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.registry import Snapshot
 from repro.obs.span import SpanLog
 
 MANIFEST_VERSION = 3
 MANIFEST_SCHEMA = "repro.obs.manifest/v3"
-MANIFEST_SCHEMA_V2 = "repro.obs.manifest/v2"
-MANIFEST_SCHEMA_V1 = "repro.obs.manifest/v1"
 
-_SCHEMA_FILES = {
-    1: "manifest_schema.json",
-    2: "manifest_schema_v2.json",
-    3: "manifest_schema_v3.json",
-}
-_SCHEMA_NAMES = {1: MANIFEST_SCHEMA_V1, 2: MANIFEST_SCHEMA_V2, 3: MANIFEST_SCHEMA}
-
-_SCALAR = (str, int, float, bool, type(None))
-
-#: Compiled jsonschema validators, one per manifest version (lazy).
-_VALIDATORS: dict[int, Any] = {}
+_SCHEMA_FILE = "manifest_schema_v3.json"
 
 
 class ManifestError(ValueError):
@@ -61,39 +53,13 @@ class ManifestError(ValueError):
 
 def load_schema(version: int = MANIFEST_VERSION) -> dict[str, Any]:
     """The committed JSON schema for the given manifest version."""
-    try:
-        filename = _SCHEMA_FILES[version]
-    except KeyError:
+    if version != MANIFEST_VERSION:
         raise ManifestError(
             f"no schema for manifest version {version!r}; "
-            f"known: {sorted(_SCHEMA_FILES)}"
-        ) from None
-    text = resources.files("repro.obs").joinpath(filename).read_text()
-    return json.loads(text)
-
-
-def upgrade_manifest(manifest: Mapping[str, Any]) -> dict[str, Any]:
-    """Up-convert a manifest to the current version (validated).
-
-    Versions 1 and 2 become version 3 by re-stamping the version and
-    schema fields: every older construct is legal v3 -- the v2 sections
-    (``timeline``, ``events``) and the v3 span identity fields are all
-    optional, so an upgraded manifest simply lacks the ones its producer
-    predates.  A manifest already at the current version is returned as
-    a validated copy.
-    """
-    upgraded = dict(manifest)
-    version = upgraded.get("manifest_version")
-    if version in (1, 2):
-        upgraded["manifest_version"] = MANIFEST_VERSION
-        upgraded["schema"] = MANIFEST_SCHEMA
-    elif version != MANIFEST_VERSION:
-        raise ManifestError(
-            f"cannot upgrade manifest_version {version!r}; "
-            f"known: {sorted(_SCHEMA_FILES)}"
+            f"known: [{MANIFEST_VERSION}]"
         )
-    validate_manifest(upgraded)
-    return upgraded
+    text = resources.files("repro.obs").joinpath(_SCHEMA_FILE).read_text()
+    return json.loads(text)
 
 
 def cell(
@@ -141,7 +107,7 @@ def build_manifest(
 ) -> dict[str, Any]:
     """Assemble (and by default validate) a current-version run manifest.
 
-    ``timeline`` and ``events`` are the optional v2 sections (see
+    ``timeline`` and ``events`` are the optional sections (see
     :mod:`repro.obs.timeline`); pass the per-cell payload maps the
     experiment runner collects.
     """
@@ -183,255 +149,267 @@ def build_manifest(
 
 
 def validate_manifest(manifest: Mapping[str, Any]) -> None:
-    """Raise :class:`ManifestError` unless ``manifest`` matches its schema.
+    """Raise :class:`ManifestError` unless ``manifest`` matches the schema.
 
-    Dispatches on the manifest's declared ``manifest_version`` (1 and 2
-    both remain valid -- old manifests do not rot when the current
-    version moves).  Uses :mod:`jsonschema` when available; otherwise
-    falls back to a structural check covering the same constraints
-    (required keys, value types, metric-tree shape).
+    The message names the JSON path of the first violation found, e.g.
+    ``spans[3].depth: expected integer, got str``.
     """
-    version = manifest.get("manifest_version")
-    if version not in _SCHEMA_FILES:
-        raise ManifestError(
-            f"manifest_version: unknown version {version!r}; "
-            f"known: {sorted(_SCHEMA_FILES)}"
-        )
-    try:
-        import jsonschema
-    except ImportError:
-        _validate_structurally(manifest)
-        return
-    validator = _VALIDATORS.get(version)
-    if validator is None:
-        # Compile (and schema-check) once per version: jsonschema.validate
-        # redoes both on every call, which dominates hot paths like the
-        # serve warm-cache probe.
-        schema = load_schema(version)
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        validator = _VALIDATORS[version] = cls(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(dict(manifest)))
+    error = _manifest_validator()(dict(manifest))
     if error is not None:
-        raise ManifestError(str(error)) from error
+        message, *path = error
+        raise ManifestError(f"{_format_path(reversed(path))}: {message}")
 
 
-def _fail(path: str, message: str) -> None:
-    raise ManifestError(f"{path}: {message}")
+@functools.cache
+def _manifest_validator() -> Validator:
+    return compile_schema(load_schema())
 
 
-def _check_scalar_map(value: Any, path: str) -> None:
-    if not isinstance(value, dict):
-        _fail(path, "must be an object")
-    for key, item in value.items():
-        if not isinstance(key, str):
-            _fail(path, f"non-string key {key!r}")
-        if not isinstance(item, _SCALAR):
-            _fail(f"{path}.{key}", "must be a scalar")
+# --------------------------------------------------------------------------
+# Schema compiler
+# --------------------------------------------------------------------------
+
+#: A compiled (sub)schema.  It returns ``None`` when the instance is valid,
+#: else ``[message, *path]`` with the path innermost-first: parents append
+#: their key or index while the failure bubbles up, so the valid case
+#: never builds a path.
+Validator = Callable[[Any], "list | None"]
+
+#: Keywords that carry no constraint.
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description"})
+_KEYWORDS = frozenset({
+    "type", "required", "properties", "additionalProperties", "items",
+    "const", "minLength", "pattern", "minimum", "oneOf", "$ref",
+})
+_DEFS_PREFIX = "#/$defs/"
 
 
-def _check_metric_tree(value: Any, path: str) -> None:
-    if not isinstance(value, dict):
-        _fail(path, "metric tree node must be an object")
-    for key, item in value.items():
-        if not isinstance(key, str):
-            _fail(path, f"non-string key {key!r}")
-        if isinstance(item, bool) or not isinstance(item, (int, float, dict)):
-            _fail(f"{path}.{key}", "must be a number or a subtree")
-        if isinstance(item, dict):
-            _check_metric_tree(item, f"{path}.{key}")
-
-
-def _validate_structurally(manifest: Mapping[str, Any]) -> None:
-    """Pure-python fallback mirroring the committed schema files."""
-    required = (
-        "manifest_version",
-        "schema",
-        "artifact",
-        "tool",
-        "run",
-        "seeds",
-        "trace_hashes",
-        "spans",
-        "metrics",
-        "cells",
+def _is_integer(value: Any) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (
+        isinstance(value, float) and value.is_integer()
     )
-    for key in required:
-        if key not in manifest:
-            _fail(key, "missing required field")
-    version = manifest["manifest_version"]
-    if version not in _SCHEMA_FILES:
-        _fail(
-            "manifest_version",
-            f"unknown version {version!r}; known: {sorted(_SCHEMA_FILES)}",
-        )
-    if manifest["schema"] != _SCHEMA_NAMES[version]:
-        _fail("schema", f"must be {_SCHEMA_NAMES[version]!r}")
-    allowed_top = set(required) | {"summary"}
-    if version >= 2:
-        allowed_top |= {"timeline", "events"}
-    extra_top = set(manifest) - allowed_top
-    if extra_top:
-        _fail("/", f"unexpected keys {sorted(extra_top)}")
-    if not isinstance(manifest["artifact"], str) or not manifest["artifact"]:
-        _fail("artifact", "must be a non-empty string")
-    tool = manifest["tool"]
-    if not isinstance(tool, dict) or set(tool) != {"name", "version", "python"}:
-        _fail("tool", "must have exactly name/version/python")
-    for key, item in tool.items():
-        if not isinstance(item, str):
-            _fail(f"tool.{key}", "must be a string")
-    _check_scalar_map(manifest["run"], "run")
-    seeds = manifest["seeds"]
-    if not isinstance(seeds, dict):
-        _fail("seeds", "must be an object")
-    for app, seed in seeds.items():
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            _fail(f"seeds.{app}", "must be an integer")
-    hashes = manifest["trace_hashes"]
-    if not isinstance(hashes, dict):
-        _fail("trace_hashes", "must be an object")
-    for key, digest in hashes.items():
-        if not isinstance(digest, str) or not digest or set(digest) - set(
-            "0123456789abcdef"
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, Number) and not isinstance(value, bool)
+
+
+_TYPE_TESTS: dict[str, Callable[[Any], bool]] = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "integer": _is_integer,
+    "number": _is_number,
+    "boolean": lambda value: isinstance(value, bool),
+    "null": lambda value: value is None,
+}
+
+
+def compile_schema(schema: Mapping[str, Any]) -> Validator:
+    """Compile a JSON schema into a :data:`Validator`.
+
+    Raises ``ValueError`` on any keyword outside the supported set (the
+    keywords the manifest schema uses, plus the annotations ``$schema``,
+    ``$id``, ``title`` and ``description``), on a ``$ref`` other than
+    ``#/$defs/<name>``, and on ``$defs`` anywhere but the root.
+    """
+    raw_defs = schema.get("$defs", {})
+    # Pre-seeded so a $ref can check its target exists before it compiles.
+    defs: dict[str, Validator] = dict.fromkeys(raw_defs, _accept)
+    for name, subschema in raw_defs.items():
+        defs[name] = _compile(subschema, f"{_DEFS_PREFIX}{name}", defs)
+    root = {key: value for key, value in schema.items() if key != "$defs"}
+    return _compile(root, "#", defs)
+
+
+def _compile(schema: Any, where: str, defs: dict[str, Validator]) -> Validator:
+    if not isinstance(schema, dict):
+        raise ValueError(f"{where}: unsupported non-object schema {schema!r}")
+    unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
+    if unknown:
+        raise ValueError(f"{where}: unsupported schema keyword(s) {sorted(unknown)}")
+    checks: list[Validator] = []
+    if "type" in schema:
+        checks.append(_compile_type(schema["type"], where))
+    if "const" in schema:
+        checks.append(_compile_const(schema["const"]))
+    if "minLength" in schema or "pattern" in schema:
+        checks.append(_compile_string(schema.get("minLength"), schema.get("pattern")))
+    if "minimum" in schema:
+        checks.append(_compile_minimum(schema["minimum"]))
+    if {"required", "properties", "additionalProperties"} & set(schema):
+        checks.append(_compile_object(schema, where, defs))
+    if "items" in schema:
+        checks.append(_compile_items(_compile(schema["items"], f"{where}/items", defs)))
+    if "oneOf" in schema:
+        checks.append(_compile_one_of([
+            _compile(sub, f"{where}/oneOf/{index}", defs)
+            for index, sub in enumerate(schema["oneOf"])
+        ]))
+    if "$ref" in schema:
+        checks.append(_compile_ref(schema["$ref"], where, defs))
+    if not checks:
+        return _accept
+    if len(checks) == 1:
+        return checks[0]
+
+    def check_all(value: Any) -> list | None:
+        for check in checks:
+            error = check(value)
+            if error is not None:
+                return error
+        return None
+
+    return check_all
+
+
+def _accept(value: Any) -> None:
+    return None
+
+
+def _compile_type(names: str | list[str], where: str) -> Validator:
+    names = [names] if isinstance(names, str) else list(names)
+    unknown = set(names) - set(_TYPE_TESTS)
+    if unknown:
+        raise ValueError(f"{where}: unsupported type(s) {sorted(unknown)}")
+    tests = tuple(_TYPE_TESTS[name] for name in names)
+    expected = " or ".join(names)
+
+    def check_type(value: Any) -> list | None:
+        for test in tests:
+            if test(value):
+                return None
+        return [f"expected {expected}, got {type(value).__name__}"]
+
+    return check_type
+
+
+def _compile_const(expected: Any) -> Validator:
+    if isinstance(expected, (dict, list)):
+        raise ValueError(f"unsupported non-scalar const {expected!r}")
+
+    def check_const(value: Any) -> list | None:
+        # JSON equality: true/false are never equal to 1/0.
+        if value is expected or (
+            isinstance(value, bool) is isinstance(expected, bool)
+            and value == expected
         ):
-            _fail(f"trace_hashes.{key}", "must be a lowercase hex string")
-    spans = manifest["spans"]
-    if not isinstance(spans, list):
-        _fail("spans", "must be an array")
-    span_keys = {"name", "wall_seconds", "depth", "metrics"}
-    span_optional = {"error"} if version >= 2 else set()
-    if version >= 3:
-        span_optional |= {"trace_id", "span_id", "parent_id", "start"}
-    for index, record in enumerate(spans):
-        path = f"spans[{index}]"
-        if not isinstance(record, dict):
-            _fail(path, "must be an object")
-        extra = set(record) - span_keys - span_optional
-        missing = span_keys - set(record)
-        if extra or missing:
-            _fail(path, f"bad keys (extra={extra}, missing={missing})")
-        if "error" in record and (
-            not isinstance(record["error"], str) or not record["error"]
-        ):
-            _fail(f"{path}.error", "must be a non-empty string")
-        for id_field in ("trace_id", "span_id", "parent_id"):
-            if id_field in record:
-                value = record[id_field]
-                if not isinstance(value, str) or not value or set(value) - set(
-                    "0123456789abcdef"
-                ):
-                    _fail(f"{path}.{id_field}", "must be a lowercase hex string")
-        if "start" in record and (
-            isinstance(record["start"], bool)
-            or not isinstance(record["start"], (int, float))
-            or record["start"] < 0
-        ):
-            _fail(f"{path}.start", "must be a non-negative number")
-        if not isinstance(record["name"], str) or not record["name"]:
-            _fail(f"{path}.name", "must be a non-empty string")
-        if isinstance(record["wall_seconds"], bool) or not isinstance(
-            record["wall_seconds"], (int, float)
-        ) or record["wall_seconds"] < 0:
-            _fail(f"{path}.wall_seconds", "must be a non-negative number")
-        if isinstance(record["depth"], bool) or not isinstance(
-            record["depth"], int
-        ) or record["depth"] < 0:
-            _fail(f"{path}.depth", "must be a non-negative integer")
-        _check_metric_tree(record["metrics"], f"{path}.metrics")
-    _check_metric_tree(manifest["metrics"], "metrics")
-    cells = manifest["cells"]
-    if not isinstance(cells, list):
-        _fail("cells", "must be an array")
-    for index, entry in enumerate(cells):
-        path = f"cells[{index}]"
-        if not isinstance(entry, dict):
-            _fail(path, "must be an object")
-        if set(entry) - {"id", "labels", "checksum", "metrics", "values"}:
-            _fail(path, "unexpected keys")
-        if not isinstance(entry.get("id"), str) or not entry["id"]:
-            _fail(f"{path}.id", "must be a non-empty string")
-        if "labels" in entry:
-            _check_scalar_map(entry["labels"], f"{path}.labels")
-        if "checksum" in entry and entry["checksum"] is not None:
-            if isinstance(entry["checksum"], bool) or not isinstance(
-                entry["checksum"], int
-            ):
-                _fail(f"{path}.checksum", "must be an integer or null")
-        if "metrics" in entry:
-            _check_metric_tree(entry["metrics"], f"{path}.metrics")
-        if "values" in entry:
-            _check_scalar_map(entry["values"], f"{path}.values")
-    if "summary" in manifest:
-        _check_scalar_map(manifest["summary"], "summary")
-    if "timeline" in manifest:
-        _check_timeline_section(manifest["timeline"], "timeline")
-    if "events" in manifest:
-        _check_events_section(manifest["events"], "events")
+            return None
+        return [f"must be {expected!r}"]
+
+    return check_const
 
 
-_WINDOW_SERIES_KEYS = (
-    "refs",
-    "cycles",
-    "l1_misses",
-    "miss_rate",
-    "stall_slots",
-    "chases",
-    "mshr_occupancy",
-)
+def _compile_string(min_length: int | None, pattern: str | None) -> Validator:
+    regex = re.compile(pattern) if pattern is not None else None
+    shortest = min_length or 0
+
+    def check_string(value: Any) -> list | None:
+        if not isinstance(value, str):
+            return None
+        if len(value) < shortest:
+            return [f"shorter than {shortest} character(s)"]
+        if regex is not None and regex.search(value) is None:
+            return [f"{value!r} does not match {pattern!r}"]
+        return None
+
+    return check_string
 
 
-def _check_timeline_section(section: Any, path: str) -> None:
-    if not isinstance(section, dict) or set(section) != {"cells"}:
-        _fail(path, "must be an object with exactly a 'cells' key")
-    for cell_id, cell in section["cells"].items():
-        cell_path = f"{path}.cells.{cell_id}"
-        if not isinstance(cell, dict) or set(cell) != {
-            "sample_interval",
-            "window_count",
-            "windows",
-            "heatmap",
-        }:
-            _fail(cell_path, "bad keys")
-        windows = cell["windows"]
-        if not isinstance(windows, dict) or set(windows) != set(
-            _WINDOW_SERIES_KEYS
-        ):
-            _fail(f"{cell_path}.windows", "bad series keys")
-        lengths = set()
-        for name, series in windows.items():
-            if not isinstance(series, list):
-                _fail(f"{cell_path}.windows.{name}", "must be an array")
-            lengths.add(len(series))
-        if len(lengths) > 1:
-            _fail(f"{cell_path}.windows", "series lengths differ")
-        heatmap = cell["heatmap"]
-        if not isinstance(heatmap, dict) or set(heatmap) != {
-            "region_bytes",
-            "regions",
-        }:
-            _fail(f"{cell_path}.heatmap", "bad keys")
+def _compile_minimum(minimum: int | float) -> Validator:
+    def check_minimum(value: Any) -> list | None:
+        if _is_number(value) and value < minimum:
+            return [f"{value!r} is less than the minimum of {minimum!r}"]
+        return None
+
+    return check_minimum
 
 
-def _check_events_section(section: Any, path: str) -> None:
-    if not isinstance(section, dict) or set(section) != {"cells"}:
-        _fail(path, "must be an object with exactly a 'cells' key")
-    for cell_id, payload in section["cells"].items():
-        cell_path = f"{path}.cells.{cell_id}"
-        if not isinstance(payload, dict) or set(payload) != {
-            "capacity",
-            "total",
-            "dropped",
-            "counts",
-            "records",
-        }:
-            _fail(cell_path, "bad keys")
-        if not isinstance(payload["records"], list):
-            _fail(f"{cell_path}.records", "must be an array")
-        for index, record in enumerate(payload["records"]):
-            if not isinstance(record, dict) or set(record) != {
-                "ts",
-                "kind",
-                "args",
-            }:
-                _fail(f"{cell_path}.records[{index}]", "bad keys")
+def _compile_object(
+    schema: Mapping[str, Any], where: str, defs: dict[str, Validator]
+) -> Validator:
+    required = tuple(schema.get("required", ()))
+    properties = {
+        key: _compile(sub, f"{where}/properties/{key}", defs)
+        for key, sub in schema.get("properties", {}).items()
+    }
+    extra = schema.get("additionalProperties", True)
+    closed = extra is False
+    extra_check = None if extra is True or closed else _compile(
+        extra, f"{where}/additionalProperties", defs
+    )
+
+    def check_object(value: Any) -> list | None:
+        if not isinstance(value, dict):
+            return None
+        for key in required:
+            if key not in value:
+                return [f"missing required key {key!r}"]
+        for key, item in value.items():
+            check = properties.get(key, extra_check)
+            if check is None:
+                if closed:
+                    return [f"unexpected key {key!r}"]
+                continue
+            error = check(item)
+            if error is not None:
+                error.append(key)
+                return error
+        return None
+
+    return check_object
+
+
+def _compile_items(check_item: Validator) -> Validator:
+    def check_items(value: Any) -> list | None:
+        if not isinstance(value, list):
+            return None
+        for index, item in enumerate(value):
+            error = check_item(item)
+            if error is not None:
+                error.append(index)
+                return error
+        return None
+
+    return check_items
+
+
+def _compile_one_of(alternatives: list[Validator]) -> Validator:
+    def check_one_of(value: Any) -> list | None:
+        matched = 0
+        for alternative in alternatives:
+            if alternative(value) is None:
+                matched += 1
+        if matched == 1:
+            return None
+        return [
+            f"must match exactly one of {len(alternatives)} alternatives, "
+            f"matched {matched}"
+        ]
+
+    return check_one_of
+
+
+def _compile_ref(target: str, where: str, defs: dict[str, Validator]) -> Validator:
+    name = target[len(_DEFS_PREFIX):]
+    if not target.startswith(_DEFS_PREFIX) or name not in defs:
+        raise ValueError(f"{where}: unsupported $ref {target!r}")
+
+    # Resolved per call: a definition may refer to itself (or to one not
+    # compiled yet), so the compiled target is looked up, not captured.
+    def check_ref(value: Any) -> list | None:
+        return defs[name](value)
+
+    return check_ref
+
+
+def _format_path(parts: Iterable[str | int]) -> str:
+    text = ""
+    for part in parts:
+        if isinstance(part, int):
+            text += f"[{part}]"
+        else:
+            text += f".{part}" if text else str(part)
+    return text or "(root)"

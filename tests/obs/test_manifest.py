@@ -1,25 +1,27 @@
 """Manifest schema validation, including the committed JSON schema.
 
 The acceptance bar for structured output: every experiment entry point
-emits a manifest that validates against ``manifest_schema.json``.
+emits a manifest that validates against ``manifest_schema_v3.json``.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import ExperimentRunner
 from repro.experiments import ablations, figure5, figure6, figure7, figure10, table1
 from repro.obs import Registry
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
-    MANIFEST_SCHEMA_V1,
-    MANIFEST_SCHEMA_V2,
     MANIFEST_VERSION,
     ManifestError,
-    _validate_structurally,
     build_manifest,
     cell,
     load_schema,
-    upgrade_manifest,
     validate_manifest,
 )
 
@@ -56,78 +58,88 @@ class TestSchema:
         validate_manifest(manifest)  # should not raise
 
     def test_rejects_unknown_version(self):
-        with pytest.raises(ManifestError):
-            _validate_structurally(
-                _minimal_manifest(manifest_version=4, schema="repro.obs.manifest/v4")
-            )
-        with pytest.raises(ManifestError):
+        with pytest.raises(ManifestError, match="manifest_version"):
             validate_manifest(
                 _minimal_manifest(manifest_version=4, schema="repro.obs.manifest/v4")
             )
 
     def test_rejects_version_schema_mismatch(self):
         with pytest.raises(ManifestError):
-            _validate_structurally(_minimal_manifest(manifest_version=1))
+            validate_manifest(_minimal_manifest(manifest_version=1))
 
     def test_rejects_missing_required_key(self):
         bad = _minimal_manifest()
         del bad["metrics"]
         with pytest.raises(ManifestError):
-            _validate_structurally(bad)
+            validate_manifest(bad)
 
     def test_rejects_non_hex_trace_hash(self):
         with pytest.raises(ManifestError):
-            _validate_structurally(_minimal_manifest(trace_hashes={"k": "XYZ"}))
+            validate_manifest(_minimal_manifest(trace_hashes={"k": "XYZ"}))
 
     def test_rejects_non_scalar_run_value(self):
         with pytest.raises(ManifestError):
-            _validate_structurally(_minimal_manifest(run={"nested": {"a": 1}}))
+            validate_manifest(_minimal_manifest(run={"nested": {"a": 1}}))
 
     def test_rejects_malformed_metric_tree(self):
         with pytest.raises(ManifestError):
-            _validate_structurally(_minimal_manifest(metrics={"time": "fast"}))
+            validate_manifest(_minimal_manifest(metrics={"time": "fast"}))
 
     def test_rejects_bad_cell_keys(self):
         bad = _minimal_manifest()
         bad["cells"] = [{"id": "x", "unexpected": 1}]
         with pytest.raises(ManifestError):
-            _validate_structurally(bad)
+            validate_manifest(bad)
 
     def test_rejects_bad_span_record(self):
         bad = _minimal_manifest()
         bad["spans"] = [{"name": "s", "wall_seconds": -1.0, "depth": 0, "metrics": {}}]
         with pytest.raises(ManifestError):
-            _validate_structurally(bad)
+            validate_manifest(bad)
 
     def test_jsonschema_and_fallback_agree_on_valid(self):
+        # jsonschema is the oracle the compiled validator is held to.
+        jsonschema = pytest.importorskip("jsonschema")
         manifest = _minimal_manifest()
         validate_manifest(manifest)
-        _validate_structurally(manifest)
+        jsonschema.Draft202012Validator(load_schema()).validate(manifest)
+
+    def test_error_names_the_json_path(self):
+        bad = _minimal_manifest()
+        bad["spans"] = [
+            {"name": f"s{i}", "wall_seconds": 0.0, "depth": 0, "metrics": {}}
+            for i in range(4)
+        ]
+        bad["spans"][3]["depth"] = "deep"
+        with pytest.raises(ManifestError, match=r"^spans\[3\]\.depth: "):
+            validate_manifest(bad)
+        del bad["spans"][3]["depth"]
+        with pytest.raises(ManifestError, match=r"^spans\[3\]: .*'depth'"):
+            validate_manifest(bad)
+
+    def test_integral_float_is_an_integer(self):
+        # Draft 2020-12: 1.0 is an integer, True is not a number.
+        manifest = _minimal_manifest(seeds={"health": 1.0})
+        validate_manifest(manifest)
+        with pytest.raises(ManifestError, match=r"^seeds\.health: "):
+            validate_manifest(_minimal_manifest(seeds={"health": 1.5}))
+        with pytest.raises(ManifestError, match=r"^seeds\.health: "):
+            validate_manifest(_minimal_manifest(seeds={"health": True}))
 
 
 def _v1_manifest():
-    """A hand-built v1 manifest, as written by the previous release."""
-    manifest = _minimal_manifest(
-        manifest_version=1, schema=MANIFEST_SCHEMA_V1
-    )
-    manifest.pop("timeline", None)
-    manifest.pop("events", None)
-    return manifest
+    """A manifest stamped with the retired version 1."""
+    return _minimal_manifest(manifest_version=1, schema="repro.obs.manifest/v1")
 
 
 class TestSchemaMigration:
-    """Version 1 manifests stay valid after the /v2 bump."""
-
-    def test_v1_still_validates(self):
-        manifest = _v1_manifest()
-        validate_manifest(manifest)
-        _validate_structurally(manifest)
+    """The constructs the /v2 bump added; /v1 manifests are rejected."""
 
     def test_v1_rejects_v2_sections(self):
         bad = _v1_manifest()
         bad["timeline"] = {"cells": {}}
-        with pytest.raises(ManifestError):
-            _validate_structurally(bad)
+        with pytest.raises(ManifestError, match="^manifest_version: "):
+            validate_manifest(bad)
 
     def test_v1_rejects_span_error_field(self):
         bad = _v1_manifest()
@@ -135,30 +147,8 @@ class TestSchemaMigration:
             {"name": "s", "wall_seconds": 0.1, "depth": 0, "metrics": {},
              "error": "ValueError: boom"}
         ]
-        with pytest.raises(ManifestError):
-            _validate_structurally(bad)
-
-    def test_upgrade_v1_restamps_to_current(self):
-        upgraded = upgrade_manifest(_v1_manifest())
-        assert upgraded["manifest_version"] == MANIFEST_VERSION
-        assert upgraded["schema"] == MANIFEST_SCHEMA
-        validate_manifest(upgraded)
-
-    def test_upgrade_current_is_validated_copy(self):
-        manifest = _minimal_manifest()
-        upgraded = upgrade_manifest(manifest)
-        assert upgraded == manifest
-        assert upgraded is not manifest
-
-    def test_upgrade_rejects_unknown_version(self):
-        with pytest.raises(ManifestError):
-            upgrade_manifest(_minimal_manifest(manifest_version=99))
-
-    def test_v2_schema_file_pins_v2(self):
-        schema = load_schema(2)
-        assert schema["properties"]["manifest_version"]["const"] == 2
-        v1 = load_schema(1)
-        assert v1["properties"]["manifest_version"]["const"] == 1
+        with pytest.raises(ManifestError, match="^manifest_version: "):
+            validate_manifest(bad)
 
     def test_load_schema_unknown_version(self):
         with pytest.raises(ManifestError):
@@ -171,15 +161,16 @@ class TestSchemaMigration:
              "error": "ValueError: boom"}
         ]
         validate_manifest(manifest)
-        _validate_structurally(manifest)
 
     def test_v2_rejects_malformed_timeline_section(self):
         bad = _minimal_manifest()
         bad["timeline"] = {"cells": {"a/32B/L": {"sample_interval": 10}}}
         with pytest.raises(ManifestError):
-            _validate_structurally(bad)
+            validate_manifest(bad)
 
-    def test_v2_rejects_ragged_window_series(self):
+    def test_ragged_window_series_follow_the_schema(self):
+        # The schema cannot relate array lengths, so series of unequal
+        # length are valid; only their element type is checked.
         windows = {
             name: [1.0]
             for name in (
@@ -188,8 +179,8 @@ class TestSchemaMigration:
             )
         }
         windows["refs"] = [1.0, 2.0]
-        bad = _minimal_manifest()
-        bad["timeline"] = {
+        ragged = _minimal_manifest()
+        ragged["timeline"] = {
             "cells": {
                 "a/32B/L": {
                     "sample_interval": 10,
@@ -199,13 +190,15 @@ class TestSchemaMigration:
                 }
             }
         }
-        with pytest.raises(ManifestError):
-            _validate_structurally(bad)
+        validate_manifest(ragged)
+        windows["refs"] = [1.0, "two"]
+        with pytest.raises(ManifestError, match=r"windows\.refs\[1\]: "):
+            validate_manifest(ragged)
 
 
 def _v2_manifest():
-    """A hand-built v2 manifest, as written by PRs 4-8."""
-    return _minimal_manifest(manifest_version=2, schema=MANIFEST_SCHEMA_V2)
+    """A manifest stamped with the retired version 2."""
+    return _minimal_manifest(manifest_version=2, schema="repro.obs.manifest/v2")
 
 
 def _traced_span(**overrides):
@@ -224,25 +217,14 @@ def _traced_span(**overrides):
 
 
 class TestV3Migration:
-    """Version 2 manifests stay valid after the /v3 bump; v3 adds
-    span identity fields (trace_id/span_id/parent_id/start)."""
-
-    def test_v2_still_validates(self):
-        manifest = _v2_manifest()
-        validate_manifest(manifest)
-        _validate_structurally(manifest)
+    """v3 adds span identity fields (trace_id/span_id/parent_id/start);
+    /v2 manifests are rejected."""
 
     def test_v2_rejects_span_identity_fields(self):
         bad = _v2_manifest()
         bad["spans"] = [_traced_span()]
-        with pytest.raises(ManifestError):
-            _validate_structurally(bad)
-
-    def test_upgrade_v2_restamps_to_current(self):
-        upgraded = upgrade_manifest(_v2_manifest())
-        assert upgraded["manifest_version"] == MANIFEST_VERSION
-        assert upgraded["schema"] == MANIFEST_SCHEMA
-        validate_manifest(upgraded)
+        with pytest.raises(ManifestError, match="^manifest_version: "):
+            validate_manifest(bad)
 
     def test_v3_schema_file_pins_v3(self):
         schema = load_schema(3)
@@ -253,7 +235,6 @@ class TestV3Migration:
         manifest = _minimal_manifest()
         manifest["spans"] = [_traced_span()]
         validate_manifest(manifest)
-        _validate_structurally(manifest)
 
     def test_v3_identity_fields_are_optional(self):
         manifest = _minimal_manifest()
@@ -261,7 +242,6 @@ class TestV3Migration:
             {"name": "s", "wall_seconds": 0.1, "depth": 0, "metrics": {}}
         ]
         validate_manifest(manifest)
-        _validate_structurally(manifest)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -277,9 +257,7 @@ class TestV3Migration:
     def test_v3_rejects_malformed_identity(self, field, value):
         bad = _minimal_manifest()
         bad["spans"] = [_traced_span(**{field: value})]
-        with pytest.raises(ManifestError):
-            _validate_structurally(bad)
-        with pytest.raises(ManifestError):
+        with pytest.raises(ManifestError, match=rf"^spans\[0\]\.{field}: "):
             validate_manifest(bad)
 
 
@@ -327,3 +305,35 @@ class TestEveryArtifactEmitsAValidManifest:
         assert manifest["metrics"]["runs"]
         assert manifest["seeds"]
         assert manifest["trace_hashes"]
+
+
+_HYGIENE_SCRIPT = """
+import runpy, sys
+from repro.obs import build_manifest, validate_manifest
+validate_manifest(build_manifest("probe", run={}, seeds={}, metrics={}))
+sys.argv = ["repro", "figure5", "--format", "json", "--quiet",
+            "--scale", "0.02", "--trace-dir", sys.argv[1]]
+for _ in range(2):  # cold, then fully cached
+    try:
+        runpy.run_module("repro", run_name="__main__")
+    except SystemExit as stop:
+        assert not stop.code, stop.code
+print("jsonschema" in sys.modules, file=sys.stderr)
+"""
+
+
+class TestImportHygiene:
+    def test_product_paths_never_import_jsonschema(self, tmp_path):
+        # jsonschema is a test oracle only: building, validating and the
+        # cold and cached CLI paths must all run without importing it.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _HYGIENE_SCRIPT, str(tmp_path / "store")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == "False", proc.stderr

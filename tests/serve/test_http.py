@@ -185,9 +185,9 @@ class TestBackpressure:
         release = threading.Event()
         real_run_task = workers_mod.run_task
 
-        def _blocked(task, store, traces=None):
+        def _blocked(task, store, traces=None, **kwargs):
             release.wait(30.0)
-            return real_run_task(task, store, traces)
+            return real_run_task(task, store, traces, **kwargs)
 
         monkeypatch.setattr(workers_mod, "run_task", _blocked)
 
