@@ -20,42 +20,39 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured results of every table and figure.
 """
 
-from repro.cache.hierarchy import (
-    AccessKind,
-    AccessResult,
-    HierarchyConfig,
-    MemoryHierarchy,
-)
-from repro.core.errors import (
-    AlignmentError,
-    AllocationError,
-    DoubleFreeError,
-    ForwardingCycleError,
-    HopLimitExceeded,
-    MemoryAccessError,
-    SimulationError,
-)
-from repro.core.forwarding import ForwardingEngine, ForwardingStats
-from repro.core.isa import ISAExtensions
-from repro.core.machine import (
-    NULL,
-    ForwardingEvent,
-    Machine,
-    MachineConfig,
-)
-from repro.core.memory import TaggedMemory, WORD_SIZE
-from repro.core.pointer_ops import final_address, ptr_eq, ptr_ne
-from repro.core.relocate import list_linearize, relocate
-from repro.core.stats import MachineStats
-from repro.core.traps import (
-    ChainedTrapHandler,
-    ForwardingProfiler,
-    PointerFixupTrap,
-)
-from repro.cpu.timing import TimingConfig
-from repro.mem.pool import RelocationPool
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+# Re-exported lazily: importing ``repro`` (which every ``repro.*``
+# import does first) must not load the simulator (DESIGN.md §5l).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cache.hierarchy": ("AccessKind", "AccessResult", "MemoryHierarchy"),
+    "repro.core.config": ("HierarchyConfig", "MachineConfig"),
+    "repro.core.errors": (
+        "AlignmentError",
+        "AllocationError",
+        "DoubleFreeError",
+        "ForwardingCycleError",
+        "HopLimitExceeded",
+        "MemoryAccessError",
+        "SimulationError",
+    ),
+    "repro.core.forwarding": ("ForwardingEngine", "ForwardingStats"),
+    "repro.core.isa": ("ISAExtensions",),
+    "repro.core.machine": ("NULL", "ForwardingEvent", "Machine"),
+    "repro.core.memory": ("TaggedMemory", "WORD_SIZE"),
+    "repro.core.pointer_ops": ("final_address", "ptr_eq", "ptr_ne"),
+    "repro.core.relocate": ("list_linearize", "relocate"),
+    "repro.core.stats": ("MachineStats",),
+    "repro.core.traps": (
+        "ChainedTrapHandler",
+        "ForwardingProfiler",
+        "PointerFixupTrap",
+    ),
+    "repro.cpu.timing": ("TimingConfig",),
+    "repro.mem.pool": ("RelocationPool",),
+})
 
 __all__ = [
     "AccessKind",

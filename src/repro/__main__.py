@@ -90,21 +90,11 @@ import json
 import sys
 import time
 
-from repro.adapt import experiment as adapt_experiment
+from importlib import import_module
+
 from repro.adapt.config import POLICIES
-from repro.cache.misspath import KNOB_MECHANISMS, MECHANISMS
-from repro.experiments import ExperimentRunner
-from repro.experiments import (
-    ablations,
-    figure5,
-    figure6,
-    figure7,
-    figure10,
-    misspath,
-    table1,
-)
-from repro.experiments.runner import specs_for_artifacts
-from repro.obs import Registry
+from repro.cache.misspath import KNOB_MECHANISMS, MECHANISMS, misspath_knob_error
+from repro.experiments.runner import ExperimentRunner, specs_for_artifacts
 
 DEFAULT_TRACE_DIR = "results/trace-cache"
 
@@ -115,6 +105,18 @@ _ALL = _PAPER_ARTIFACTS + (
 
 #: First-word subcommands (everything else is an artifact list).
 _SUBCOMMANDS = ("timeline", "serve", "serve.bench", "corpus")
+
+#: Artifact -> its experiment driver module (``run``/``manifest``),
+#: imported only when the artifact is requested.
+_DRIVERS = {
+    "table1": "repro.experiments.table1",
+    "figure5": "repro.experiments.figure5",
+    "figure6": "repro.experiments.figure6",
+    "figure7": "repro.experiments.figure7",
+    "figure10": "repro.experiments.figure10",
+    "misspath": "repro.experiments.misspath",
+    "adapt": "repro.adapt.experiment",
+}
 
 
 class _CLIError(Exception):
@@ -672,8 +674,9 @@ def _artifacts_main(argv: list[str]) -> int:
                 f"{flag} only makes sense with --mechanism "
                 f"{' or '.join(users)}"
             )
-        if value < 1:
-            parser.error(f"{flag} must be >= 1, got {value}")
+        error = misspath_knob_error(value)
+        if error is not None:
+            parser.error(f"{flag} {error}")
         misspath_knobs[knob] = value
     artifacts = args.artifacts or list(_ALL)
     unknown = [name for name in artifacts if name not in _ALL]
@@ -737,29 +740,24 @@ def _artifacts_main(argv: list[str]) -> int:
             **misspath_knobs,
         )
     )
-    modules = {
-        "table1": table1,
-        "figure5": figure5,
-        "figure6": figure6,
-        "figure7": figure7,
-        "figure10": figure10,
-        "misspath": misspath,
-        "adapt": adapt_experiment,
-    }
     emit_json = args.format == "json"
     manifests: dict[str, dict] = {}
     started = time.time()
     for artifact in artifacts:
         if not emit_json:
             print(f"=== {artifact} ===")
-        if artifact in modules:
+        if artifact in _DRIVERS:
+            driver = import_module(_DRIVERS[artifact])
             with runner.span(artifact):
-                result = modules[artifact].run(runner, scale=args.scale)
+                result = driver.run(runner, scale=args.scale)
             if emit_json:
-                manifests[artifact] = modules[artifact].manifest(result, runner)
+                manifests[artifact] = driver.manifest(result, runner)
             else:
                 print(result.render())
         elif artifact == "ablations":
+            from repro.experiments import ablations
+            from repro.obs import Registry
+
             obs = Registry()
             scale = min(args.scale, 0.5)
             results = ablations.run_all(scale=scale, obs=obs)

@@ -15,14 +15,20 @@ primitives:
   static-never vs static-once vs adaptive headline matrix.
 """
 
-from repro.adapt.config import POLICIES, AdaptConfig
-from repro.adapt.policy import (
-    Policy,
-    RelocationDecision,
-    WindowFeedback,
-    make_policy,
-)
-from repro.adapt.profile import HeatProfile
+from repro._lazy import lazy_exports
+
+# Re-exported lazily: ``repro.adapt.config`` sits under every machine
+# config and must not pull in the policy machinery (DESIGN.md §5l).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.adapt.config": ("POLICIES", "AdaptConfig"),
+    "repro.adapt.policy": (
+        "Policy",
+        "RelocationDecision",
+        "WindowFeedback",
+        "make_policy",
+    ),
+    "repro.adapt.profile": ("HeatProfile",),
+})
 
 __all__ = [
     "AdaptConfig",

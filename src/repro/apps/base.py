@@ -26,10 +26,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.core.machine import Machine, MachineConfig, MachineObserver
+from repro.core.config import MachineConfig
 from repro.core.stats import MachineStats
+
+if TYPE_CHECKING:
+    from repro.core.machine import Machine, MachineObserver
 
 
 class Variant(Enum):
@@ -48,6 +51,29 @@ class Variant(Enum):
     @property
     def prefetching(self) -> bool:
         return self in (Variant.NP, Variant.LP)
+
+
+#: Applications whose *optimized* variants' reference stream depends on
+#: the cache line size: they read ``machine.config.hierarchy.line_size``
+#: to parameterise their layout optimization (BH's subtree clustering
+#: and prefetch distance do).  This is the one declaration of it: trace
+#: keys read it without importing any application module, and
+#: :meth:`Application.stream_depends_on_line_size` reads it too.
+LINE_SIZE_SENSITIVE_APPS = frozenset({"bh"})
+
+
+def stream_depends_on_line_size(app: str, variant: Variant) -> bool:
+    """Whether ``app``'s reference stream at ``variant`` varies with line size.
+
+    Prefetching variants always do (every app's block prefetches step
+    by one line); optimized variants do only for the apps in
+    :data:`LINE_SIZE_SENSITIVE_APPS`.  Line-size-invariant streams are
+    captured once and replayed at every line size; the rest need one
+    trace per line size.
+    """
+    return variant.prefetching or (
+        app in LINE_SIZE_SENSITIVE_APPS and variant.optimized
+    )
 
 
 @dataclass
@@ -88,23 +114,12 @@ class Application(ABC):
     name: str = "app"
     description: str = ""
     optimization: str = ""
-    #: True if the *optimized* variants' reference stream depends on the
-    #: cache line size (the app reads
-    #: ``machine.config.hierarchy.line_size`` to parameterise its layout
-    #: optimization, as BH's subtree clustering does).
-    line_size_sensitive: bool = False
 
     @classmethod
     def stream_depends_on_line_size(cls, variant: Variant) -> bool:
-        """Whether this app's stream at ``variant`` varies with line size.
-
-        Prefetching variants always do (every app's block prefetches step
-        by one line); optimized variants do only for apps that declare
-        :attr:`line_size_sensitive`.  Line-size-invariant streams are
-        captured once and replayed at every line size; the rest need one
-        trace per line size.
-        """
-        return variant.prefetching or (cls.line_size_sensitive and variant.optimized)
+        """Whether this app's stream at ``variant`` varies with line size
+        (see :func:`stream_depends_on_line_size`)."""
+        return stream_depends_on_line_size(cls.name, variant)
 
     def __init__(self, scale: float = 1.0, seed: int = 1) -> None:
         if scale <= 0:
@@ -119,7 +134,7 @@ class Application(ABC):
         config: MachineConfig | None = None,
         observer: "MachineObserver | None" = None,
         on_window=None,
-        machine_class: type[Machine] = Machine,
+        machine_class: type[Machine] | None = None,
     ) -> AppResult:
         """Execute the application on a fresh machine; returns the result.
 
@@ -129,10 +144,15 @@ class Application(ABC):
         (if given, and if ``config`` samples a timeline) streams the
         sampler's per-window deltas live; it is ignored for untimed
         configs, so the default hot path is untouched.
-        ``machine_class`` picks the machine: trace capture passes
+        ``machine_class`` picks the machine (default
+        :class:`~repro.core.machine.Machine`): trace capture passes
         :class:`~repro.core.machine.FunctionalMachine`, whose result
         carries only the config-invariant stats.
         """
+        if machine_class is None:
+            from repro.core.machine import Machine
+
+            machine_class = Machine
         supported = self.variants()
         if variant not in supported:
             raise ValueError(
@@ -178,7 +198,9 @@ class Application(ABC):
         return max(minimum, int(round(value * self.scale)))
 
 
-#: Registry of all Table 1 applications, filled by repro.apps.__init__.
+#: Registry of all Table 1 applications, filled as each application
+#: module is imported (:func:`repro.apps.load_applications` imports them
+#: all).
 APPLICATIONS: dict[str, type[Application]] = {}
 
 
@@ -190,6 +212,10 @@ def register(cls: type[Application]) -> type[Application]:
 
 def get_application(name: str, scale: float = 1.0, seed: int = 1) -> Application:
     """Instantiate a registered application by its Table 1 name."""
+    if name not in APPLICATIONS:
+        from repro.apps import load_applications
+
+        load_applications()
     try:
         cls = APPLICATIONS[name]
     except KeyError:

@@ -67,8 +67,8 @@ class BH(Application):
     description = "Barnes-Hut N-body force calculation over a quadtree"
     optimization = "subtree clustering of internal tree nodes (once per build)"
     # Clustering granularity and prefetch distance follow the line size,
-    # so BH's reference stream must be captured per line size.
-    line_size_sensitive = True
+    # so BH's reference stream must be captured per line size: BH is in
+    # repro.apps.base.LINE_SIZE_SENSITIVE_APPS.
 
     BODIES = 800
     FORCE_STEPS = 6

@@ -22,6 +22,9 @@ from enum import Enum
 from repro.cache.cache import Cache
 from repro.cache.misspath import build_misspath
 from repro.cache.mshr import MSHRFile
+# HierarchyConfig lives in the light repro.core.config (DESIGN.md §5l);
+# it stays importable from here.
+from repro.core.config import HierarchyConfig
 
 
 class AccessKind(Enum):
@@ -48,70 +51,6 @@ class AccessResult:
     @property
     def is_miss(self) -> bool:
         return self.kind is not AccessKind.L1_HIT
-
-
-@dataclass
-class HierarchyConfig:
-    """Geometry and latency parameters of the modeled memory system.
-
-    Defaults are the scaled configuration documented in DESIGN.md Section 5:
-    a 4 KB 2-way L1 D-cache and a 16 KB 4-way unified L2, scaled down from
-    the paper's machine in proportion to our reduced working sets so the
-    applications run in the same miss regime (working sets comfortably
-    exceed L2, as the paper's inputs exceeded its off-chip cache).
-    """
-
-    line_size: int = 32
-    l1_size: int = 4 * 1024
-    l1_assoc: int = 2
-    l2_size: int = 16 * 1024
-    l2_assoc: int = 4
-    #: L2 line size; stays fixed while experiments sweep the L1 line size
-    #: (as in an R10000-class machine: 32 B L1 lines, 128 B L2 lines).
-    #: Never smaller than the L1 line.
-    l2_line_size: int = 128
-    l1_hit_latency: float = 1.0
-    l2_hit_latency: float = 12.0
-    memory_latency: float = 70.0
-    #: Transfer bandwidth of the L1<->L2 interface: longer lines take
-    #: longer to move, which is why long lines *hurt* when spatial
-    #: locality is absent (the Figure 5 "N degrades with line size" shape).
-    l1_bus_bytes_per_cycle: float = 16.0
-    #: Transfer bandwidth of the L2<->memory interface.
-    mem_bus_bytes_per_cycle: float = 8.0
-    mshr_capacity: int = 8
-    policy: str = "lru"
-    #: L1 miss-path mechanism (:data:`repro.cache.misspath.MECHANISMS`).
-    #: ``"none"`` keeps the exact baseline hierarchy -- no stage objects
-    #: exist and the fused fast-path kernels stay eligible.
-    mechanism: str = "none"
-    #: Victim-cache entries (``victim_cache``/``combined``).
-    vc_entries: int = 8
-    #: Miss-cache entries (``miss_cache``).
-    mc_entries: int = 8
-    #: Stream-buffer count and per-buffer depth (``stream_buffers``/
-    #: ``combined``).
-    sb_count: int = 4
-    sb_depth: int = 4
-    #: Extra cycles (beyond the L1 hit latency) to serve a miss from a
-    #: miss-path stage -- the local swap/refill cost, far below any L2
-    #: round trip.
-    misspath_hit_latency: float = 2.0
-
-    @property
-    def l2_fill_latency(self) -> float:
-        """Latency of an L1 miss served by the L2 (incl. line transfer)."""
-        return self.l2_hit_latency + self.line_size / self.l1_bus_bytes_per_cycle
-
-    @property
-    def full_miss_latency(self) -> float:
-        """Latency of a miss that goes all the way to memory."""
-        l2_line = max(self.l2_line_size, self.line_size)
-        return (
-            self.l2_fill_latency
-            + self.memory_latency
-            + l2_line / self.mem_bus_bytes_per_cycle
-        )
 
 
 @dataclass(slots=True)

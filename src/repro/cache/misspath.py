@@ -58,6 +58,29 @@ KNOB_MECHANISMS = {
     "sb_depth": ("stream_buffers", "combined"),
 }
 
+#: Largest accepted value of any sizing knob: each front end (the CLI
+#: flags and the serve protocol) refuses more, so one absurd cell
+#: cannot monopolise a worker for hours.
+MAX_MISSPATH_ENTRIES = 1024
+
+
+def misspath_knob_error(value) -> str | None:
+    """Why ``value`` is not an acceptable sizing knob, or ``None``.
+
+    The one rule both front ends (the CLI's ``--vc-entries``/
+    ``--mc-entries``/``--sb-count``/``--sb-depth`` and the serve
+    protocol's fields of the same names) apply, so an input one accepts
+    the other accepts too.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or not 1 <= value <= MAX_MISSPATH_ENTRIES
+    ):
+        return f"must be >= 1 and <= {MAX_MISSPATH_ENTRIES}, got {value!r}"
+    return None
+
+
 #: (metric key, stats attribute) pairs, in reporting order.  The dotted
 #: keys live under ``cache.misspath.`` in metric trees; top-level keys
 #: are leaves and ``vc``/``mc``/``sb`` are interior nodes, so the

@@ -18,11 +18,13 @@ software such as ``relocate()`` pays its costs through the same machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
-from repro.adapt.config import AdaptConfig
-from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.cache.hierarchy import MemoryHierarchy
+# MachineConfig lives in the light repro.core.config (DESIGN.md §5l);
+# it stays importable from here.
+from repro.core.config import MachineConfig
 from repro.core.errors import DoubleFreeError, MemoryAccessError
 from repro.core.forwarding import ForwardingEngine
 from repro.core.hotpath import make_machine_ops, make_reference_kernel
@@ -30,7 +32,7 @@ from repro.core.memory import TaggedMemory, WORD_MASK, WORD_SIZE
 from repro.core.stats import MachineStats, ReferenceLatencyStats, RelocationStats
 from repro.cpu.prefetch import SoftwarePrefetcher
 from repro.cpu.speculation import DependenceSpeculator
-from repro.cpu.timing import TimingConfig, TimingModel
+from repro.cpu.timing import TimingModel
 from repro.mem.allocator import HeapAllocator
 from repro.mem.pool import RelocationPool
 
@@ -98,69 +100,6 @@ class MachineObserver(Protocol):
     def on_note_relocation(self, relocations: int, words: int) -> None: ...
     def on_note_optimizer(self) -> None: ...
     def on_set_trap(self, installed: bool) -> None: ...
-
-
-@dataclass
-class MachineConfig:
-    """Configuration of the whole simulated system."""
-
-    hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
-    timing: TimingConfig = field(default_factory=TimingConfig)
-    #: Base of the application heap; low memory is reserved so NULL (0)
-    #: never aliases a live object.
-    heap_base: int = 0x10000
-    heap_size: int = 24 << 20
-    #: Region reserved for relocation pools, carved on demand.
-    pool_region_size: int = 24 << 20
-    hop_limit: int = 16
-    #: Depth of the dependence-speculation store window (0 disables).
-    speculation_window: int = 32
-    #: Instruction cost of malloc bookkeeping (beyond per-byte clearing).
-    malloc_base_cost: int = 16
-    #: Instruction cost of the forwarding-aware free wrapper.
-    free_base_cost: int = 8
-    #: Largest block prefetch (lines) a single instruction may request.
-    max_prefetch_block: int = 8
-    #: Extra cycles charged to a user-level trap handler invocation.
-    user_trap_cycles: float = 10.0
-    #: Use the fused load/store fast path for unforwarded L1 hits.  The
-    #: fast and general paths produce bit-identical statistics (enforced
-    #: by the differential parity tests); this switch exists so those
-    #: tests -- and any future debugging -- can force the general path.
-    fast_path: bool = True
-    #: Data references per timeline window; 0 (the default) disables the
-    #: sampler entirely -- no wrapper closures, zero hot-path cost.
-    timeline_interval: int = 0
-    #: Capacity of the structured event ring; 0 (the default) disables
-    #: event emission.  Enabling events forces the general reference
-    #: path, because the fused kernels inline the cache internals some
-    #: events come from (L2 inclusion victims).
-    events_capacity: int = 0
-    #: Heatmap region granularity (bytes, power of two) for the timeline
-    #: sampler and the adaptive profile; the default matches the
-    #: timeline's historical fixed 64 KB regions.
-    heatmap_region_bytes: int = 64 * 1024
-    #: Online adaptive relocation policy (:class:`repro.adapt.AdaptConfig`);
-    #: ``None`` (the default) disables the engine entirely.  Configuring
-    #: it implies a timeline (using ``adapt.interval`` as the window
-    #: width when ``timeline_interval`` is 0) and forces the general
-    #: reference path, mirroring the events gate.
-    adapt: AdaptConfig | None = None
-
-    def __post_init__(self) -> None:
-        region = self.heatmap_region_bytes
-        if region < 1 or region & (region - 1):
-            raise ValueError(
-                f"heatmap_region_bytes must be a power of two, got {region}"
-            )
-
-    @property
-    def memory_size(self) -> int:
-        return self.heap_base + self.heap_size + self.pool_region_size
-
-    def with_line_size(self, line_size: int) -> "MachineConfig":
-        """Copy of this config with a different cache line size."""
-        return replace(self, hierarchy=replace(self.hierarchy, line_size=line_size))
 
 
 class Machine:

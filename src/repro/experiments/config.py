@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.cache.hierarchy import HierarchyConfig
-from repro.core.machine import MachineConfig
+from repro.core.config import HierarchyConfig, MachineConfig
 from repro.cpu.timing import TimingConfig
 
 #: L1 line sizes swept by Figures 5 and 6 for most applications.

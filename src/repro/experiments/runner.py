@@ -11,32 +11,37 @@ per-process, optionally persisted in an on-disk artifact store (so a
 second invocation skips capture *and* replay), and batches can shard
 across a process pool (:meth:`ExperimentRunner.prime`).
 
-Progress reporting goes through :mod:`repro.core.debug` logging (to
-stderr), never ``print``: parallel workers must not interleave garbage
-into the rendered artifacts on stdout.
+This module is light (DESIGN.md §5l): it imports no engine module at
+module scope.  A trace group whose every cell is cached is answered
+from the store (:func:`repro.trace.cells.probe_group`); the capture
+and replay engine is imported only when a group has a miss.
+
+Progress reporting goes through :mod:`repro.obs.logging` (to stderr),
+never ``print``: parallel workers must not interleave garbage into the
+rendered artifacts on stdout.
 """
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.adapt.config import DEFAULT_HEATMAP_REGION, AdaptConfig
 from repro.apps.base import AppResult, Variant
-from repro.core.debug import enable_progress_logging, get_logger
 from repro.experiments.config import APP_SEEDS
 from repro.obs import Registry
-from repro.trace.batch import BatchCellError, group_by_trace, run_batch_group
-from repro.trace.store import ArtifactStore
-from repro.trace.sweep import (
-    SweepError,
+from repro.obs.logging import enable_progress_logging, get_logger
+from repro.trace.cells import (
     SweepTask,
     batch_label,
-    execute_sweep,
+    group_by_trace,
     log_progress,
-    run_task,
+    probe_group,
 )
+from repro.trace.store import ArtifactStore
+
+if TYPE_CHECKING:
+    import tempfile
 
 
 @dataclass(frozen=True)
@@ -295,6 +300,8 @@ class ExperimentRunner:
         spec = self._with_knobs(spec)
         result = self._cache.get(spec)
         if result is None:
+            from repro.trace.sweep import run_task
+
             result, how = run_task(spec.task(), self.store, self._traces)
             self._cache[spec] = result
             self._record(spec, result, how)
@@ -331,10 +338,11 @@ class ExperimentRunner:
                 return
             groups = group_by_trace(list(by_task))
             for key, group in groups.items():
-                try:
-                    outcomes = run_batch_group(group, self.store, self._traces)
-                except BatchCellError as exc:
-                    raise SweepError(exc.task, exc) from exc
+                # A fully cached group is answered from the store; the
+                # engine is imported only for a group with a miss.
+                outcomes = probe_group(group, self.store, self._traces)
+                if None in outcomes:
+                    outcomes = self._run_group(group, outcomes)
                 for outcome in outcomes:
                     spec = by_task[outcome.task]
                     self._cache[spec] = outcome.result
@@ -348,6 +356,8 @@ class ExperimentRunner:
                             batch=batch_label(key, group),
                         )
             return
+        from repro.trace.sweep import execute_sweep
+
         engines: dict = {}
         outcomes = execute_sweep(
             list(by_task),
@@ -362,11 +372,26 @@ class ExperimentRunner:
             self._cache[spec] = result
             self._record(spec, result, how, engines.get(task, "sequential"))
 
+    def _run_group(self, group: list[SweepTask], probed: list) -> list:
+        """Simulate one trace group in-process (the engine's cold path),
+        reusing the store answers ``probed`` already read."""
+        from repro.trace.batch import BatchCellError, run_batch_group
+        from repro.trace.sweep import SweepError
+
+        try:
+            return run_batch_group(
+                group, self.store, self._traces, probed=probed
+            )
+        except BatchCellError as exc:
+            raise SweepError(exc.task, exc) from exc
+
     def _sweep_store(self) -> ArtifactStore:
         """The persistent store, or a lazily created throwaway one."""
         if self.store is not None:
             return self.store
         if self._scratch is None:
+            import tempfile
+
             self._scratch = tempfile.TemporaryDirectory(prefix="repro-sweep-")
         return ArtifactStore(self._scratch.name)
 
@@ -507,8 +532,6 @@ def specs_for_artifacts(
     or ``("none", mechanism)`` when one was requested.
     """
     from repro.apps import FIGURE5_APPS
-    from repro.adapt import experiment as adapt_experiment
-    from repro.experiments import figure7, figure10, misspath, table1
     from repro.experiments.config import FIGURE7_LINE_SIZE, line_sizes_for
 
     knobs = dict(
@@ -519,8 +542,11 @@ def specs_for_artifacts(
         sb_depth=sb_depth,
     )
     specs: list[RunSpec] = []
+    # Each driver is imported only when its artifact is requested.
     for artifact in artifacts:
         if artifact == "misspath":
+            from repro.experiments import misspath
+
             specs += misspath.specs(
                 scale,
                 mechanisms=misspath.mechanism_matrix(mechanism),
@@ -530,11 +556,15 @@ def specs_for_artifacts(
                 sb_depth=sb_depth,
             )
         elif artifact == "adapt":
+            from repro.adapt import experiment as adapt_experiment
+
             specs += adapt_experiment.specs(
                 scale,
                 policies=adapt_experiment.policy_matrix(adapt_policy),
             )
         elif artifact == "table1":
+            from repro.experiments import table1
+
             specs += [
                 RunSpec.make(app, Variant.L, table1.LINE_SIZE, scale, **knobs)
                 for app in table1.TABLE1_APPS
@@ -547,12 +577,16 @@ def specs_for_artifacts(
                 for variant in (Variant.N, Variant.L)
             ]
         elif artifact == "figure7":
+            from repro.experiments import figure7
+
             specs += [
                 RunSpec.make(app, variant, FIGURE7_LINE_SIZE, scale, **knobs)
                 for app in FIGURE5_APPS
                 for variant in figure7.SCHEMES
             ]
         elif artifact == "figure10":
+            from repro.experiments import figure10
+
             specs += [
                 RunSpec.make("smv", variant, figure10.LINE_SIZE, scale, **knobs)
                 for variant in figure10.SCHEMES

@@ -28,14 +28,11 @@ flush rule: fused kernels never touch the registry; their flat counter
 slots are read through bound getters only at snapshot time.
 """
 
-from repro.obs.events import EventLog
-from repro.obs.export import chrome_trace, diff_timelines, render_diff, windows_csv
-from repro.obs.logging import (
-    configure_logging,
-    current_trace_id,
-    log_event,
-    trace_context,
-)
+from repro._lazy import lazy_exports
+
+# Eager: the manifest, registry and span modules every artifact run
+# uses.  (``span`` must be bound here: importing the ``repro.obs.span``
+# submodule would otherwise leave the module object under that name.)
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     MANIFEST_VERSION,
@@ -45,7 +42,6 @@ from repro.obs.manifest import (
     load_schema,
     validate_manifest,
 )
-from repro.obs.prom import parse_prometheus, render_prometheus
 from repro.obs.registry import (
     COUNTER,
     EMPTY,
@@ -60,8 +56,26 @@ from repro.obs.registry import (
     histogram_quantiles,
 )
 from repro.obs.span import SpanLog, SpanRecord, span
-from repro.obs.timeline import Timeline
-from repro.obs.tracing import SpanContext, Tracer, new_id, span_tree
+
+# Lazy: the rest loads on first use (DESIGN.md §5l).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.events": ("EventLog",),
+    "repro.obs.export": (
+        "chrome_trace",
+        "diff_timelines",
+        "render_diff",
+        "windows_csv",
+    ),
+    "repro.obs.logging": (
+        "configure_logging",
+        "current_trace_id",
+        "log_event",
+        "trace_context",
+    ),
+    "repro.obs.prom": ("parse_prometheus", "render_prometheus"),
+    "repro.obs.timeline": ("Timeline",),
+    "repro.obs.tracing": ("SpanContext", "Tracer", "new_id", "span_tree"),
+})
 
 __all__ = [
     "COUNTER",

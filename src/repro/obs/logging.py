@@ -31,11 +31,9 @@ import json
 import logging
 import os
 import sys
-import time
 from typing import Any, Iterator, TextIO
 
-#: Root of the package's logger hierarchy (kept in sync with
-#: :mod:`repro.core.debug`, which predates this module).
+#: Root of the package's logger hierarchy.
 ROOT_LOGGER_NAME = "repro"
 
 #: Environment variable consulted for the default level.
@@ -175,6 +173,26 @@ def configure_logging(
         logger.addHandler(handler)
     logger.setLevel(numeric)
     return logger
+
+
+def get_logger(name: str | None = None) -> logging.Logger:
+    """The ``repro`` logger, or a child of it (``get_logger("sweep")``)."""
+    if not name or name == ROOT_LOGGER_NAME:
+        return logging.getLogger(ROOT_LOGGER_NAME)
+    if name.startswith(ROOT_LOGGER_NAME + "."):
+        return logging.getLogger(name)
+    return logging.getLogger(f"{ROOT_LOGGER_NAME}.{name}")
+
+
+def enable_progress_logging(level: int = logging.INFO) -> logging.Logger:
+    """Attach the structured stderr handler to ``repro`` (idempotent).
+
+    Kept as the historical entry point; delegates to
+    :func:`configure_logging`, which emits one JSON object per line
+    through a single atomic ``os.write`` -- safe under the process pool
+    where plain ``StreamHandler`` lines tear.
+    """
+    return configure_logging(level)
 
 
 def worker_init(level: int | str | None = None) -> None:

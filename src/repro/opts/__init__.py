@@ -10,12 +10,17 @@
 =================  ====================================================
 """
 
-from repro.opts.clustering import ClusteringResult, cluster_subtrees
-from repro.opts.coloring import ColoredAllocator, recolor
-from repro.opts.copying import RelocatedTile, TiledMatrix, tiled_matmul
-from repro.opts.linearize import ListLinearizer
-from repro.opts.merging import MergedTable, merge_tables
-from repro.opts.packing import pack_pointer_table, pack_record_with_array
+from repro._lazy import lazy_exports
+
+# Re-exported lazily: each optimization imports the machine.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.opts.clustering": ("ClusteringResult", "cluster_subtrees"),
+    "repro.opts.coloring": ("ColoredAllocator", "recolor"),
+    "repro.opts.copying": ("RelocatedTile", "TiledMatrix", "tiled_matmul"),
+    "repro.opts.linearize": ("ListLinearizer",),
+    "repro.opts.merging": ("MergedTable", "merge_tables"),
+    "repro.opts.packing": ("pack_pointer_table", "pack_record_with_array"),
+})
 
 __all__ = [
     "ClusteringResult",

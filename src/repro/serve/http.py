@@ -42,8 +42,7 @@ import signal
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core.debug import get_logger
-from repro.obs.logging import configure_logging
+from repro.obs.logging import configure_logging, get_logger
 from repro.serve.protocol import ProtocolError
 from repro.serve.scheduler import QueueFull
 from repro.serve.service import ServiceClosed, SimulationService

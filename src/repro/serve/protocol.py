@@ -33,7 +33,7 @@ from repro.adapt.config import (
 )
 from repro.apps import APPLICATIONS
 from repro.apps.base import Variant
-from repro.cache.misspath import KNOB_MECHANISMS, MECHANISMS
+from repro.cache.misspath import KNOB_MECHANISMS, MECHANISMS, misspath_knob_error
 from repro.experiments.config import APP_SEEDS
 from repro.trace.sweep import SweepTask
 
@@ -67,7 +67,6 @@ _REQUIRED = {"app", "variant", "line_size"}
 #: so one absurd request must not monopolise a worker for hours.
 MAX_SCALE = 4.0
 MAX_LINE_SIZE = 4096
-MAX_MISSPATH_ENTRIES = 1024
 
 #: Canonical sizing-knob defaults.  A knob a mechanism does not read is
 #: *rejected* when supplied and pinned to its default otherwise, so two
@@ -196,17 +195,9 @@ class JobSpec:
                     f"got mechanism={mechanism!r}",
                 )
             value = payload[knob]
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, int)
-                or value < 1
-                or value > MAX_MISSPATH_ENTRIES
-            ):
-                _fail(
-                    knob,
-                    f"must be an integer in [1, {MAX_MISSPATH_ENTRIES}], "
-                    f"got {value!r}",
-                )
+            error = misspath_knob_error(value)
+            if error is not None:
+                _fail(knob, error)
             misspath_knobs[knob] = value
 
         adapt_policy = payload.get("adapt_policy")

@@ -48,7 +48,7 @@ import queue as _queue
 import time
 from typing import Any
 
-from repro.core.debug import get_logger
+from repro.obs.logging import get_logger
 from repro.obs import (
     GAUGE,
     Registry,

@@ -57,10 +57,10 @@ from concurrent.futures import (
 from typing import Any
 
 from repro.apps.base import AppResult
-from repro.core.debug import get_logger
 from repro.obs.logging import (
     ROOT_LOGGER_NAME,
     AtomicLineHandler,
+    get_logger,
     trace_context,
     worker_init,
 )

@@ -6,8 +6,8 @@ and relocation events it issues against the :class:`~repro.core.machine.
 Machine` -- fully determines every statistic the experiments report.  For
 a given ``(app, variant, scale, seed)`` that stream is identical across
 cache line sizes and machine configurations (BH is the one exception: it
-parameterises its clustering by line size, and declares so via
-``Application.line_size_sensitive``).
+parameterises its clustering by line size, and is declared so in
+``repro.apps.base.LINE_SIZE_SENSITIVE_APPS``).
 
 This package exploits that invariance end to end:
 
@@ -28,6 +28,9 @@ This package exploits that invariance end to end:
 * :mod:`repro.trace.kernels` -- exec-specialized per-config replay
   kernels: the replay loop compiled with the machine shape baked in as
   literals, bit-identical to the general path by contract;
+* :mod:`repro.trace.cells` -- sweep cells without the engine: cell
+  identity, grouping by trace key, and the cached-result probe that
+  answers a fully cached group before any engine module loads;
 * :mod:`repro.trace.batch` -- batch multi-config replay: decode one
   trace, drive N configs through the shared resolved stream;
 * :mod:`repro.trace.sweep` -- a parallel sweep executor sharding batch
@@ -38,49 +41,54 @@ a performance win: any divergence between a replayed and a direct run
 exposes hidden state the event stream failed to capture.
 """
 
-from repro.trace.format import (
-    FORMAT_VERSION,
-    Chunk,
-    Trace,
-    TraceFormatError,
-    TraceIndex,
-    load_index,
-    peek_version,
-)
-from repro.trace.batch import (
-    BATCH_GENERAL,
-    BATCH_SPECIALIZED,
-    SEQUENTIAL,
-    BatchCellError,
-    BatchOutcome,
-    group_by_trace,
-    replay_engine,
-    run_batch_group,
-)
-from repro.trace.kernels import (
-    SpecializationError,
-    SpecializedSession,
-    replay_specialized,
-    specializable,
-)
-from repro.trace.recorder import TraceRecorder, capture_trace
-from repro.trace.replay import (
-    ReplaySession,
-    ResolvedChunk,
-    SidecarError,
-    TraceReplayError,
-    drive_sessions,
-    iter_resolved_chunks,
-    replay_trace,
-    resolved_stream,
-)
-from repro.trace.store import (
-    ArtifactStore,
-    LockTimeout,
-    config_fingerprint,
-    trace_key,
-)
-from repro.trace.sweep import SweepError, SweepTask, execute_sweep, run_task
+from repro._lazy import lazy_exports
+
+# Re-exported lazily: the light modules (cells, format, store) must be
+# importable without loading the engine behind them (DESIGN.md §5l).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.trace.batch": ("BatchCellError", "replay_engine", "run_batch_group"),
+    "repro.trace.cells": (
+        "BATCH_GENERAL",
+        "BATCH_SPECIALIZED",
+        "SEQUENTIAL",
+        "BatchOutcome",
+        "SweepTask",
+        "group_by_trace",
+    ),
+    "repro.trace.format": (
+        "FORMAT_VERSION",
+        "Chunk",
+        "Trace",
+        "TraceFormatError",
+        "TraceIndex",
+        "load_index",
+        "peek_version",
+    ),
+    "repro.trace.kernels": (
+        "SpecializationError",
+        "SpecializedSession",
+        "replay_specialized",
+        "specializable",
+    ),
+    "repro.trace.recorder": ("TraceRecorder", "capture_trace"),
+    "repro.trace.replay": (
+        "ReplaySession",
+        "ResolvedChunk",
+        "SidecarError",
+        "TraceReplayError",
+        "drive_sessions",
+        "iter_resolved_chunks",
+        "replay_trace",
+        "resolved_stream",
+    ),
+    "repro.trace.store": (
+        "ArtifactStore",
+        "LockTimeout",
+        "config_fingerprint",
+        "trace_key",
+    ),
+    "repro.trace.sweep": ("SweepError", "execute_sweep", "run_task"),
+})
 
 __all__ = [
     "ArtifactStore",

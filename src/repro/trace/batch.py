@@ -11,10 +11,12 @@ one resolved chunk plus N session states -- O(chunk), not O(trace) --
 however many configs share the stream.  This module is that grouping
 layer:
 
-* :func:`group_by_trace` partitions sweep tasks into per-trace-key
-  groups (insertion-ordered, so progress output stays deterministic);
+* :func:`group_by_trace` (from :mod:`repro.trace.cells`) partitions
+  sweep tasks into per-trace-key groups (insertion-ordered, so progress
+  output stays deterministic);
 * :func:`run_batch_group` executes one group end to end -- capture the
-  stream if it is missing, answer cached cells from the store, then
+  stream if it is missing, answer cached cells from the store (through
+  the probe in :mod:`repro.trace.cells`), then
   build one replay session per remaining config (the capturing cell's
   included) and drive them all through one streaming decode;
 * :func:`replay_engine` / :func:`_session_for` pick the per-config
@@ -52,11 +54,18 @@ from __future__ import annotations
 import contextlib
 import os
 import time as _time
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.apps.base import AppResult, Variant
-from repro.core.machine import MachineConfig
+from repro.core.config import MachineConfig
+from repro.trace.cells import (
+    BATCH_GENERAL,
+    BATCH_SPECIALIZED,
+    SEQUENTIAL,
+    BatchOutcome,
+    cached_outcome,
+    probe_group,
+)
 from repro.trace.format import Trace
 from repro.trace.kernels import (
     SpecializedSession,
@@ -74,12 +83,6 @@ from repro.trace.replay import (
 )
 from repro.trace.store import ArtifactStore, config_fingerprint
 
-#: Engine labels recorded per cell (manifests, progress logs, metrics).
-SEQUENTIAL = "sequential"
-BATCH_GENERAL = "batch+general"
-BATCH_SPECIALIZED = "batch+specialized"
-
-
 class BatchCellError(RuntimeError):
     """One cell of a batch group failed; names the cell, pickles cleanly.
 
@@ -96,20 +99,6 @@ class BatchCellError(RuntimeError):
 
     def __str__(self) -> str:
         return self.message
-
-
-@dataclass
-class BatchOutcome:
-    """One cell's result within a batch group."""
-
-    task: object  # SweepTask (kept untyped to avoid an import cycle)
-    result: AppResult | None
-    #: ``"captured"`` / ``"replayed"`` / ``"cached"`` (run_task's word).
-    how: str
-    #: Which engine produced the result (``SEQUENTIAL`` etc.).
-    engine: str
-    #: Set instead of ``result`` when ``collect_errors=True``.
-    error: BatchCellError | None = None
 
 
 def replay_engine(
@@ -143,14 +132,6 @@ def _session_for(trace: Trace, config: MachineConfig, on_window=None):
     return ReplaySession(trace, config, on_window=on_window), BATCH_GENERAL
 
 
-def group_by_trace(tasks) -> dict[str, list]:
-    """Partition tasks into per-trace-key groups, insertion-ordered."""
-    groups: dict[str, list] = {}
-    for task in tasks:
-        groups.setdefault(task.key(), []).append(task)
-    return groups
-
-
 def run_batch_group(
     tasks: list,
     store: ArtifactStore | None = None,
@@ -159,12 +140,17 @@ def run_batch_group(
     *,
     tracers=None,
     on_window=None,
+    probed: list[BatchOutcome | None] | None = None,
 ) -> list[BatchOutcome]:
     """Execute one trace-sharing group of cells; one decode, N configs.
 
     All tasks must share a trace key.  The group runs in two phases.
 
-    **Resolve** (per cell, in task order):
+    **Resolve**: first :func:`repro.trace.cells.probe_group` loads the
+    group's trace and answers every cached cell from the store --
+    unless the caller already did and hands its answers in as
+    ``probed`` (with the trace, if any, in ``traces``).  Then, per
+    remaining cell, in task order:
 
     * events cells (``events_capacity > 0``) always run direct -- replay
       cannot reproduce the discrete event stream -- via the sequential
@@ -173,8 +159,8 @@ def run_batch_group(
       captures it.  Capture normally runs on the timing-free machine,
       so that cell then gets a replay session like the rest (``how``
       stays ``"captured"``); a timed capture (adaptive configs) answers
-      its cell with its direct run;
-    * cached results come straight from the store;
+      its cell with its direct run; the cells after it are probed
+      against the fresh trace's content hash;
     * everything else gets a replay session (specialized kernel or
       general path, per config).
 
@@ -210,7 +196,6 @@ def run_batch_group(
             "group_by_trace() the tasks first"
         )
     outcomes: dict[int, BatchOutcome] = {}
-    trace: Trace | None = None
     key = next(iter(keys)) if keys else None
     if traces is None:
         traces = {}
@@ -237,11 +222,21 @@ def run_batch_group(
             return None
         return lambda window, _task=task: on_window(_task, window)
 
+    if probed is None:
+        probed = probe_group(tasks, store, traces, tracers)
+    trace: Trace | None = traces.get(key)
+    # With no trace to probe against, the cells were not probed; once
+    # this call captures, results stored under the fresh trace's
+    # content hash (which capture reproduces) still answer.
+    unprobed = trace is None
     pending: list[_Cell] = []
     #: ``(position, task, tracer)`` of the cell that captured the
     #: stream functionally; the trace is saved after the drive.
     capturer = None
     for position, task in enumerate(tasks):
+        if probed[position] is not None:
+            outcomes[position] = probed[position]
+            continue
         try:
             tracer = _tracer(task)
             config = task.config()
@@ -256,11 +251,8 @@ def run_batch_group(
                 )
                 continue
             if trace is None:
+                # An events cell's direct run may have captured it.
                 trace = traces.get(key)
-            if trace is None and store is not None:
-                trace = store.load_trace(key)
-                if trace is not None:
-                    traces[key] = trace
             fingerprint = config_fingerprint(config)
             if trace is None:
                 # First cold cell captures for the whole group.
@@ -287,15 +279,12 @@ def run_batch_group(
                 capturer = (position, task, tracer)
                 how = "captured"
             else:
-                if store is not None:
-                    with _span(tracer, "store.result_probe"):
-                        cached = store.load_result(
-                            trace.content_hash, fingerprint
-                        )
+                if unprobed:
+                    cached = cached_outcome(
+                        task, trace, fingerprint, store, tracer
+                    )
                     if cached is not None:
-                        outcomes[position] = BatchOutcome(
-                            task, cached, "cached", SEQUENTIAL
-                        )
+                        outcomes[position] = cached
                         continue
                 how = "replayed"
             session, engine = _session_for(

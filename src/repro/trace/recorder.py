@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.apps import get_application
+from repro.apps import get_application, load_applications
 from repro.apps.base import AppResult, Variant
 from repro.core.machine import FunctionalMachine, Machine, MachineConfig
 from repro.core.stats import INVARIANT_FIELDS
@@ -66,6 +66,11 @@ from repro.trace.format import (
     finish_stream_digest,
     make_chunk,
 )
+
+# The capture engine loads every application up front: a process that
+# imports it (a sweep worker, say) then compiles no application module
+# inside a timed capture (DESIGN.md §5l).
+load_applications()
 
 
 class TraceRecorder:

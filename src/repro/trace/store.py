@@ -70,9 +70,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from repro.apps.base import AppResult, Variant
-from repro.core.debug import get_logger
-from repro.core.machine import MachineConfig
+from repro.core.config import MachineConfig
 from repro.core.stats import MachineStats
+from repro.obs.logging import get_logger
 from repro.trace.format import (
     FORMAT_VERSION,
     Trace,

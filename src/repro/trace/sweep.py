@@ -25,31 +25,27 @@ parallel).
 
 from __future__ import annotations
 
-import logging
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Iterable
 
-from repro.adapt.config import DEFAULT_HEATMAP_REGION, AdaptConfig
-from repro.apps import APPLICATIONS
 from repro.apps.base import AppResult, Variant
-from repro.core.debug import get_logger
-from repro.obs.logging import log_event
 from repro.obs.registry import EMPTY, Snapshot
 from repro.trace.batch import (
-    SEQUENTIAL,
     BatchCellError,
-    group_by_trace,
     replay_engine,
     run_batch_group,
+)
+from repro.trace.cells import (
+    SEQUENTIAL,
+    SweepTask,
+    batch_label,
+    group_by_trace,
+    log_progress,
 )
 from repro.trace.format import Trace
 from repro.trace.recorder import capture_trace
 from repro.trace.replay import replay_trace
-from repro.trace.store import ArtifactStore, config_fingerprint, trace_key
-
-_log = get_logger("trace.sweep")
+from repro.trace.store import ArtifactStore, config_fingerprint
 
 
 class SweepError(RuntimeError):
@@ -68,100 +64,6 @@ class SweepError(RuntimeError):
             f"{type(cause).__name__}: {cause}"
         )
         self.task = task
-
-
-@dataclass(frozen=True)
-class SweepTask:
-    """One cell of a sweep matrix (picklable, hashable)."""
-
-    app: str
-    variant: str
-    line_size: int
-    scale: float = 1.0
-    seed: int = 1
-    #: Timeline sampling interval for this cell (0 = off).  Part of the
-    #: machine config, not the workload identity: the trace key ignores
-    #: it (one stream serves sampled and unsampled cells alike) while
-    #: the config fingerprint separates their cached results.
-    timeline_interval: int = 0
-    events_capacity: int = 0
-    #: L1 miss-path mechanism and sizing knobs (see
-    #: :mod:`repro.cache.misspath`).  Like the timeline knobs these are
-    #: machine config, not workload identity: the trace key ignores them
-    #: (one captured stream replays under every mechanism) while the
-    #: config fingerprint keeps their cached results apart.  With
-    #: ``mechanism="none"`` the sizing knobs are ignored entirely, so a
-    #: baseline cell's config -- and thus its fingerprint -- is identical
-    #: no matter which knob values rode along.
-    mechanism: str = "none"
-    vc_entries: int = 8
-    mc_entries: int = 8
-    sb_count: int = 4
-    sb_depth: int = 4
-    #: Adaptive relocation policy (:class:`repro.adapt.AdaptConfig`) or
-    #: ``None``.  Unlike every knob above, adapt is *workload identity*:
-    #: the engine issues its own references, so the trace key folds in
-    #: the full config fingerprint (see :func:`repro.trace.store.trace_key`)
-    #: and each adaptive config captures/replays its own private stream.
-    adapt: "AdaptConfig | None" = None
-    #: Heatmap region granularity (bytes); machine config, not workload
-    #: identity for plain cells (the sampler never issues references).
-    heatmap_region: int = DEFAULT_HEATMAP_REGION
-
-    def key(self) -> str:
-        """Trace key this cell's stream lives under."""
-        sensitive = APPLICATIONS[self.app].stream_depends_on_line_size(
-            Variant(self.variant)
-        )
-        if self.adapt is not None:
-            # Engine references depend on the whole config; pin the
-            # stream to it (line size included -- it shifts window
-            # contents and hence decision points).
-            return trace_key(
-                self.app,
-                self.variant,
-                self.scale,
-                self.seed,
-                self.line_size,
-                adapt=config_fingerprint(self.config()),
-            )
-        return trace_key(
-            self.app,
-            self.variant,
-            self.scale,
-            self.seed,
-            self.line_size if sensitive else None,
-        )
-
-    def config(self):
-        from dataclasses import replace
-
-        from repro.experiments.config import experiment_config
-
-        config = experiment_config(self.line_size)
-        if self.timeline_interval or self.events_capacity:
-            config = replace(
-                config,
-                timeline_interval=self.timeline_interval,
-                events_capacity=self.events_capacity,
-            )
-        if self.mechanism != "none":
-            config = replace(
-                config,
-                hierarchy=replace(
-                    config.hierarchy,
-                    mechanism=self.mechanism,
-                    vc_entries=self.vc_entries,
-                    mc_entries=self.mc_entries,
-                    sb_count=self.sb_count,
-                    sb_depth=self.sb_depth,
-                ),
-            )
-        if self.heatmap_region != DEFAULT_HEATMAP_REGION:
-            config = replace(config, heatmap_region_bytes=self.heatmap_region)
-        if self.adapt is not None:
-            config = replace(config, adapt=self.adapt)
-        return config
 
 
 def run_task(
@@ -281,11 +183,6 @@ def _batch_worker(
     return [(o.task, o.result, o.how, o.engine) for o in outcomes]
 
 
-def batch_label(key: str, group: list[SweepTask]) -> str:
-    """Short human-readable tag for one batch group's progress lines."""
-    return f"{key.split('-')[0]}[{len(group)}]"
-
-
 def execute_sweep(
     tasks: list[SweepTask],
     store: ArtifactStore,
@@ -322,6 +219,10 @@ def execute_sweep(
             if verbose:
                 log_progress(task, *results[task])
         return results
+
+    # The pool is imported only where one is used: an in-process sweep
+    # never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
 
     # Phase 1: capture each missing trace exactly once, in parallel.
     representatives: dict[str, SweepTask] = {}
@@ -381,6 +282,8 @@ def _execute_batched(
             )
         return results
 
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {
             pool.submit(_batch_worker, group, str(store.root)): key
@@ -416,6 +319,8 @@ def _collect(
     broken cell neither hangs the pool nor masquerades as an anonymous
     pickle traceback.
     """
+    from concurrent.futures import as_completed
+
     try:
         for future in as_completed(futures):
             try:
@@ -445,30 +350,3 @@ def aggregate_metrics(results: Iterable[AppResult]) -> Snapshot:
     for result in results:
         merged = merged.merge(result.stats.to_snapshot())
     return merged
-
-
-def log_progress(
-    task: SweepTask,
-    result: AppResult,
-    how: str,
-    engine: str | None = None,
-    batch: str | None = None,
-) -> None:
-    """One progress line per completed cell (shared with the runner).
-
-    Grouped execution still reports cell by cell -- ``batch`` merely
-    tags the line with the group the cell ran in, and ``engine`` with
-    the replay engine that produced it.
-    """
-    fields = {
-        "how": how,
-        "app": task.app,
-        "variant": task.variant,
-        "line_size": task.line_size,
-        "cycles": round(result.stats.cycles),
-    }
-    if engine and engine != SEQUENTIAL:
-        fields["engine"] = engine
-    if batch:
-        fields["batch"] = batch
-    log_event(_log, logging.INFO, "cell complete", **fields)

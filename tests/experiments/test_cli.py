@@ -312,3 +312,62 @@ class TestHeatmapRegionFrontEnds:
         assert accepted == self._serve_accepts(value)
         if accepted:
             assert MachineConfig(heatmap_region_bytes=value)
+
+
+class TestMisspathKnobFrontEnds:
+    """The CLI and the serve protocol apply one miss-path sizing rule."""
+
+    class _Accepted(Exception):
+        pass
+
+    MECHANISM = {
+        "vc_entries": "victim_cache",
+        "mc_entries": "miss_cache",
+        "sb_count": "stream_buffers",
+        "sb_depth": "stream_buffers",
+    }
+
+    def _cli_accepts(self, knob, value, monkeypatch, capsys) -> bool:
+        import repro.__main__ as entry
+
+        def _stop(*args, **kwargs):
+            raise self._Accepted
+
+        flag = "--" + knob.replace("_", "-")
+        # Validation is complete once the runner is built.
+        monkeypatch.setattr(entry, "ExperimentRunner", _stop)
+        try:
+            main(["figure5", "--mechanism", self.MECHANISM[knob],
+                  flag, str(value)])
+        except self._Accepted:
+            return True
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert flag in capsys.readouterr().err
+            return False
+        raise AssertionError("the CLI neither ran nor refused")
+
+    def _serve_accepts(self, knob, value) -> bool:
+        from repro.serve import JobSpec, ProtocolError
+
+        try:
+            JobSpec.from_payload(
+                {
+                    "app": "health",
+                    "variant": "N",
+                    "line_size": 32,
+                    "mechanism": self.MECHANISM[knob],
+                    knob: value,
+                }
+            )
+        except ProtocolError as exc:
+            assert knob in str(exc)
+            return False
+        return True
+
+    @pytest.mark.parametrize("knob", sorted(MECHANISM))
+    @pytest.mark.parametrize("value", [-1, 0, 1, 8, 1024, 1025, 10**6])
+    def test_cli_accepts_iff_serve_accepts(self, knob, value, monkeypatch, capsys):
+        accepted = self._cli_accepts(knob, value, monkeypatch, capsys)
+        assert accepted == self._serve_accepts(knob, value)
+        assert accepted == (1 <= value <= 1024)
